@@ -63,8 +63,10 @@ from .routing import (
 from .sim import (
     apply_circuit,
     basis_state,
+    circuit_diagonal,
     circuit_unitary,
     gate_unitary,
+    monomial_action,
     phase_distance,
 )
 from .weyl import (

@@ -49,6 +49,10 @@ class UnsupportedGate(TritcircError):
     """A gate kind is not allowed in this context."""
 
 
+class NotMonomial(UnsupportedGate):
+    """A circuit contains a gate (H, RotX) that is not a monomial matrix."""
+
+
 class UnsupportedWeight(TritcircError):
     """A string weight is outside the supported range."""
 

@@ -38,6 +38,9 @@ ROTATION_KINDS = frozenset({"RotZ", "RotX"})
 # single-qutrit gates on one wire compile to a single pulse, which is how
 # depth is counted (see decompose.count_gates).
 DIAGONAL_KINDS = frozenset({"Z", "Z2", "RotZ"})
+# Gates whose matrix has one nonzero entry per column: each maps a basis
+# state to one basis state times a phase.  H and RotX are the exceptions.
+MONOMIAL_KINDS = frozenset({"X", "X2", "Z", "Z2", "RotZ", "SigmaX", "CX", "CXDag"})
 SUBSPACES = ("01", "02", "12")
 
 

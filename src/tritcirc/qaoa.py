@@ -249,14 +249,24 @@ def basis_cost_values(problem: ColoringProblem) -> np.ndarray:
 
 
 def cost_expectation(state: np.ndarray, problem: ColoringProblem) -> float:
-    """<state| H_C |state> evaluated termwise on basis amplitudes."""
+    """<state| H_C |state>, edge by edge: the probability marginal of the
+    edge's two nodes dotted with the cost table of a single edge."""
     state = np.asarray(state)
     if state.shape != (3**problem.num_qutrits,):
         raise DimensionMismatch(
             f"state has shape {state.shape}, problem needs ({3**problem.num_qutrits},)"
         )
     probs = np.abs(state) ** 2
-    return float(np.dot(probs, basis_cost_values(problem)))
+    k, nodes = problem.k, problem.num_nodes
+    edge_table = basis_cost_values(ColoringProblem(2, ((0, 1),), k))
+    total = 0.0
+    for v, w in problem.edges:
+        # Each node's m qutrits form one base-k digit; v < w, so the kept
+        # axes come out as (v, w), the node order of edge_table.
+        blocks = probs.reshape(k**v, k, k ** (w - v - 1), k, k ** (nodes - w - 1))
+        marginal = np.einsum("avbwc->vw", blocks)
+        total += np.dot(marginal.ravel(), edge_table)
+    return float(total)
 
 
 # Fixed reference constants for the binary (qubit) encoding of the same

@@ -1,21 +1,34 @@
-"""Dense statevector/unitary simulation of qutrit circuits.
+"""Statevector, monomial and dense-unitary simulation of qutrit circuits.
 
-This is the verification oracle used throughout the package.  Statevector
-application is gate-local (no full-circuit matrices are formed), so
-expectation-value evaluation stays cheap well past the dense-unitary cap of
-eight qutrits.
+This is the verification oracle used throughout the package.  Three views:
+
+- ``apply_circuit`` runs a statevector through gate-local updates, so no
+  full-circuit matrix is formed and expectation values stay cheap well past
+  the dense-unitary cap of eight qutrits.
+- ``monomial_action`` handles circuits built only from X, X2, Z, Z2, RotZ,
+  SigmaX, CX and CXDag.  Each such gate, and so the whole circuit, is a
+  monomial matrix: U|x> = phases[x] |targets[x]>.  It tracks one trit column
+  per qutrit and one phase per basis state, O(3^N) memory instead of the
+  O(9^N) of a dense matrix.
+- ``circuit_unitary`` builds the dense 3^N x 3^N matrix.  It handles every
+  gate, H and RotX included, and is the reference the tests compare with.
+
+``circuit_diagonal`` picks the monomial view whenever every gate allows it
+and the dense one otherwise; ``tritcirc verify`` compares diagonals through
+it, up to the same eight-qutrit cap.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionCap, DimensionMismatch
-from .gates import Circuit, Gate
+from .errors import DimensionCap, DimensionMismatch, NotMonomial
+from .gates import MONOMIAL_KINDS, Circuit, Gate
 
 OMEGA = np.exp(2j * np.pi / 3)
 
-#: Largest register for which dense 3^N x 3^N unitaries are built.
+#: Largest register for which dense 3^N x 3^N unitaries are built, and the
+#: largest that ``circuit_diagonal`` accepts on either path.
 MAX_DENSE_QUTRITS = 8
 
 X_MATRIX = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
@@ -152,6 +165,83 @@ def _check_unitary(u: np.ndarray, tol: float = 1e-10) -> None:
         err = np.max(np.abs(w.conj().T @ w - v.conj().T @ v))
     if err > tol:
         raise DimensionMismatch(f"constructed matrix is not unitary ({err:.2e})")
+
+
+def monomial_action(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
+    """``(targets, phases)`` with U|x> = phases[x] |targets[x]> for every basis
+    index x.
+
+    Each gate's action is read off its ``gate_unitary`` matrix, which has one
+    nonzero entry per column: its row is the image of that local basis state
+    and its value the phase picked up.  Raises ``NotMonomial`` on H or RotX,
+    and ``DimensionMismatch`` unless ``targets`` is a permutation and every
+    phase has modulus 1 within 1e-10, which for a monomial matrix is the
+    same condition as U^dag U = 1.
+    """
+    n = circuit.num_qutrits
+    # cols[q][x]: trit q of the basis state that |x> has been mapped to so far
+    cols = trit_columns(n).T.copy()
+    phases = np.ones(3**n, dtype=complex)
+    tables: dict = {}
+    for g in circuit.gates:
+        if g.kind not in MONOMIAL_KINDS:
+            raise NotMonomial(f"{g.kind} on {g.qutrits} is not a monomial gate")
+        key = (g.kind, g.subspace, g.angle)
+        if key not in tables:
+            u = gate_unitary(g)
+            image = np.argmax(u != 0, axis=0)
+            values = u[image, np.arange(len(image))]
+            moves = not np.array_equal(image, np.arange(len(image)))
+            tables[key] = image, values, moves, not np.all(values == 1)
+        image, values, moves, phased = tables[key]
+        if len(g.qutrits) == 1:
+            (q,) = g.qutrits
+            local = cols[q]
+            if phased:
+                phases *= values[local]
+            if moves:
+                cols[q] = image[local]
+        else:
+            ctrl, tgt = g.qutrits  # control is the first tensor factor
+            local = 3 * cols[ctrl] + cols[tgt]
+            if phased:
+                phases *= values[local]
+            if moves:
+                cols[ctrl], cols[tgt] = np.divmod(image[local], 3)
+    targets = 3 ** np.arange(n - 1, -1, -1) @ cols
+    if not np.array_equal(np.sort(targets), np.arange(3**n)):
+        raise DimensionMismatch("constructed matrix is not unitary (targets repeat)")
+    err = np.max(np.abs(np.abs(phases) - 1.0))
+    if err > 1e-10:
+        raise DimensionMismatch(f"constructed matrix is not unitary ({err:.2e})")
+    targets.flags.writeable = False
+    phases.flags.writeable = False
+    return targets, phases
+
+
+def circuit_diagonal(circuit: Circuit) -> tuple[np.ndarray, str]:
+    """Diagonal of the circuit's unitary and the method that produced it.
+
+    ``"monomial"`` when every gate is monomial: phases[x] where targets[x] ==
+    x, and 0 elsewhere.  ``"dense"`` otherwise, from ``circuit_unitary``.
+    Both paths stop at ``MAX_DENSE_QUTRITS``.
+    """
+    if circuit.num_qutrits > MAX_DENSE_QUTRITS:
+        raise DimensionCap(f"dense unitaries capped at {MAX_DENSE_QUTRITS} qutrits")
+    if all(g.kind in MONOMIAL_KINDS for g in circuit.gates):
+        targets, phases = monomial_action(circuit)
+        return np.where(targets == np.arange(targets.size), phases, 0), "monomial"
+    return np.diagonal(circuit_unitary(circuit)), "dense"
+
+
+def diagonal_distance(diag_u: np.ndarray, v: np.ndarray) -> float:
+    """``phase_distance(U, diag(v))`` from the diagonal of U alone:
+    1 - |sum conj(diag_u) v| / d."""
+    diag_u = np.asarray(diag_u)
+    v = np.asarray(v)
+    if diag_u.shape != v.shape or diag_u.ndim != 1:
+        raise DimensionMismatch(f"shape mismatch {diag_u.shape} vs {v.shape}")
+    return float(1.0 - abs(np.vdot(diag_u, v)) / diag_u.size)
 
 
 def phase_distance(u: np.ndarray, v: np.ndarray) -> float:

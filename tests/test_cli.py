@@ -44,6 +44,7 @@ def test_verify_accepts_own_decomposition(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["ok"] and payload["phase_distance"] <= 1e-9
+    assert payload["method"] == "monomial"
 
 
 def test_verify_weyl_generator(tmp_path, capsys):
@@ -57,6 +58,63 @@ def test_verify_weyl_generator(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--circuit", str(out), "--generator", str(gen)]) == 0
     capsys.readouterr()
+
+
+def _decompose_to_files(tmp_path, capsys, generator):
+    gen = tmp_path / "g.json"
+    out = tmp_path / "c.json"
+    dump_json(generator, str(gen))
+    assert main(["decompose", "--generator", str(gen), "--out", str(out)]) == 0
+    capsys.readouterr()
+    return gen, out
+
+
+def _verify(capsys, circuit, gen):
+    code = main(["verify", "--circuit", str(circuit), "--generator", str(gen)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_verify_takes_dense_path_for_hadamards(tmp_path, capsys):
+    gen, out = _decompose_to_files(
+        tmp_path, capsys, {"type": "gellmann", "indices": [8, 3], "theta": 0.7}
+    )
+    circuit = load_json(str(out))
+    circuit["gates"] = [{"kind": "H", "qutrits": [1]}] * 4 + circuit["gates"]
+    dump_json(circuit, str(out))
+    code, payload = _verify(capsys, out, gen)
+    assert code == 0
+    assert payload["method"] == "dense" and payload["ok"]
+
+
+def test_verify_eight_qutrit_gellmann_on_monomial_path(tmp_path, capsys):
+    # A dense check of this 397-gate circuit takes minutes; the monomial
+    # path takes milliseconds.
+    gen, out = _decompose_to_files(
+        tmp_path, capsys,
+        {"type": "gellmann", "indices": [3, 8, 8, 3, 8, 3, 3, 8], "theta": 0.6},
+    )
+    code, payload = _verify(capsys, out, gen)
+    assert code == 0
+    assert payload["method"] == "monomial"
+    assert payload["ok"] and abs(payload["phase_distance"]) <= 1e-12
+    circuit = load_json(str(out))
+    rotation = next(g for g in circuit["gates"] if g["kind"] == "RotZ")
+    rotation["angle"] += 0.3
+    dump_json(circuit, str(out))
+    code, payload = _verify(capsys, out, gen)
+    assert code == 1
+    assert payload["method"] == "monomial"
+    assert not payload["ok"] and payload["phase_distance"] > 1e-6
+
+
+def test_verify_keeps_eight_qutrit_cap(tmp_path, capsys):
+    gen = tmp_path / "g.json"
+    circuit = tmp_path / "c.json"
+    dump_json({"type": "gellmann", "indices": [3] * 9, "theta": 0.5}, str(gen))
+    dump_json({"n": 9, "gates": []}, str(circuit))
+    code = main(["verify", "--circuit", str(circuit), "--generator", str(gen)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "DimensionCap"
 
 
 def test_qaoa_command(tmp_path, capsys):

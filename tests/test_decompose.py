@@ -26,7 +26,7 @@ from tritcirc.weyl import (
     weyl_string_diagonal,
 )
 
-RNG = np.random.default_rng(424242)
+SEED = 424242
 
 
 def _single_qutrit_product(gates):
@@ -70,11 +70,12 @@ def _exact_weyl_exponential(w, theta):
 
 
 def test_decompose_weyl_random():
+    rng = np.random.default_rng(SEED)
     for _ in range(100):
-        weight = int(RNG.integers(2, 6))
-        s = tuple(int(x) for x in RNG.integers(1, 3, size=weight - 1))
-        c = complex(RNG.normal(), RNG.normal())
-        theta = float(RNG.normal())
+        weight = int(rng.integers(2, 6))
+        s = tuple(int(x) for x in rng.integers(1, 3, size=weight - 1))
+        c = complex(rng.normal(), rng.normal())
+        theta = float(rng.normal())
         w = WeylZString(c, s)
         circ = decompose_weyl(w, theta)
         assert count_gates(circ).cx_count == 2 * (weight - 1)
@@ -133,10 +134,11 @@ def _exact_gellmann_exponential(g, theta):
 def test_decompose_gellmann_all_strings_up_to_weight_4():
     from itertools import product
 
+    rng = np.random.default_rng(SEED)
     for weight in (2, 3, 4):
         for indices in product((3, 8), repeat=weight):
             g = GellMannString(indices)
-            for theta in RNG.normal(size=5):
+            for theta in rng.normal(size=5):
                 circ = decompose_gellmann(g, float(theta))
                 dist = phase_distance(
                     circuit_unitary(circ), _exact_gellmann_exponential(g, float(theta))

@@ -28,7 +28,7 @@ from tritcirc.sim import (
     trit_columns,
 )
 
-RNG = np.random.default_rng(77)
+SEED = 77
 
 
 def _edge_hamiltonian_diagonal(k, num_qutrits, v, w):
@@ -67,7 +67,7 @@ def test_edge_circuit_resources_and_unitary(k, ent, depth, tol, ngamma):
     assert counts.cx_count == ent
     assert counts.depth == depth
     exact_diag = _edge_hamiltonian_diagonal(k, 2 * m, 0, 1)
-    for gamma in RNG.normal(size=ngamma):
+    for gamma in np.random.default_rng(SEED).normal(size=ngamma):
         circ = edge_circuit(k, 0, 1, float(gamma))
         exact = diagonal_exponential(exact_diag, float(gamma) / 2.0)
         assert phase_distance(circuit_unitary(circ), exact) < tol
@@ -146,6 +146,25 @@ def test_cost_expectation_basis_states():
     assert cost_expectation(uniform, problem) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(DimensionMismatch):
         cost_expectation(np.ones(3), problem)
+
+
+@pytest.mark.parametrize(
+    "k,nodes,edges",
+    [
+        (3, 6, ((0, 1), (0, 5), (1, 3), (2, 4), (3, 5), (2, 3))),
+        (9, 4, ((0, 3), (1, 2), (0, 1), (2, 3))),
+        (27, 3, ((0, 1), (1, 2), (0, 2))),
+        (81, 2, ((0, 1),)),
+    ],
+)
+def test_cost_expectation_matches_full_cost_diagonal(k, nodes, edges):
+    problem = ColoringProblem(nodes, edges, k)
+    rng = np.random.default_rng(SEED)
+    dim = 3**problem.num_qutrits
+    state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    state /= np.linalg.norm(state)
+    full = np.dot(np.abs(state) ** 2, basis_cost_values(problem))
+    assert abs(cost_expectation(state, problem) - full) < 1e-12
 
 
 def test_cost_separation_per_violated_edge():

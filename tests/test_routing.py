@@ -27,8 +27,6 @@ from tritcirc.routing import (
 )
 from tritcirc.sim import apply_circuit, basis_state, index_to_trits
 
-RNG = np.random.default_rng(20240912)
-
 
 def test_parity_map_of_empty_circuit():
     pmap = parity_map_of_circuit(Circuit(3))

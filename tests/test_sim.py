@@ -1,20 +1,39 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tritcirc.errors import DimensionCap, DimensionMismatch
-from tritcirc.gates import Circuit, cx, cx_dag, hadamard, rot_z, sigma_x, x_pow
+import tritcirc.sim as sim
+from tritcirc.errors import DimensionCap, DimensionMismatch, NotMonomial
+from tritcirc.gates import (
+    MONOMIAL_KINDS,
+    SUBSPACES,
+    Circuit,
+    Gate,
+    cx,
+    cx_dag,
+    hadamard,
+    rot_x,
+    rot_z,
+    sigma_x,
+    x_pow,
+    z_pow,
+)
 from tritcirc.sim import (
     HADAMARD_MATRIX,
     X_MATRIX,
     Z_MATRIX,
     apply_circuit,
     basis_state,
+    circuit_diagonal,
     circuit_unitary,
+    diagonal_distance,
     gate_unitary,
+    monomial_action,
     phase_distance,
 )
 
-RNG = np.random.default_rng(20240911)
+SEED = 20240911
 
 ALL_SINGLE_GATES = [
     x_pow(0, 1),
@@ -108,10 +127,11 @@ def _random_circuit(n, depth, rng):
 
 
 def test_apply_matches_unitary_on_random_circuits():
+    rng = np.random.default_rng(SEED)
     for _ in range(100):
-        n = int(RNG.integers(1, 5))
-        c = _random_circuit(n, int(RNG.integers(1, 31)), RNG)
-        state = RNG.normal(size=3**n) + 1j * RNG.normal(size=3**n)
+        n = int(rng.integers(1, 5))
+        c = _random_circuit(n, int(rng.integers(1, 31)), rng)
+        state = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
         state /= np.linalg.norm(state)
         direct = apply_circuit(state, c)
         viaU = circuit_unitary(c) @ state
@@ -119,7 +139,8 @@ def test_apply_matches_unitary_on_random_circuits():
 
 
 def test_apply_preserves_norm():
-    state = RNG.normal(size=3) + 1j * RNG.normal(size=3)
+    rng = np.random.default_rng(SEED)
+    state = rng.normal(size=3) + 1j * rng.normal(size=3)
     state /= np.linalg.norm(state)
     out = apply_circuit(state, Circuit(1, (hadamard(0),)))
     assert abs(np.linalg.norm(out) - 1) < 1e-12
@@ -141,3 +162,77 @@ def test_dimension_errors():
         apply_circuit(np.ones(4) / 2.0, Circuit(2))
     with pytest.raises(DimensionMismatch):
         phase_distance(np.eye(3), np.eye(9))
+
+
+@st.composite
+def monomial_circuits(draw):
+    """Random circuits of 1-5 qutrits over all eight monomial gate kinds."""
+    n = draw(st.integers(1, 5))
+    kinds = sorted(MONOMIAL_KINDS if n >= 2 else MONOMIAL_KINDS - {"CX", "CXDag"})
+    gates = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("CX", "CXDag"):
+            ctrl, tgt = draw(st.permutations(range(n)))[:2]
+            gates.append(Gate(kind, (ctrl, tgt)))
+            continue
+        q = draw(st.integers(0, n - 1))
+        subspace = draw(st.sampled_from(SUBSPACES)) if kind in ("RotZ", "SigmaX") else None
+        angle = draw(st.floats(-7.0, 7.0)) if kind == "RotZ" else None
+        gates.append(Gate(kind, (q,), subspace=subspace, angle=angle))
+    return Circuit(n, tuple(gates))
+
+
+@given(monomial_circuits(), st.integers(0, 2**32 - 1))
+def test_monomial_action_matches_dense_unitary(circuit, seed):
+    dim = 3**circuit.num_qutrits
+    targets, phases = monomial_action(circuit)
+    scattered = np.zeros((dim, dim), dtype=complex)
+    scattered[targets, np.arange(dim)] = phases
+    dense = circuit_unitary(circuit)
+    assert np.max(np.abs(scattered - dense)) < 1e-12
+
+    diag, method = circuit_diagonal(circuit)
+    assert method == "monomial"
+    rng = np.random.default_rng(seed)
+    for v in (np.diagonal(dense), np.exp(1j * rng.uniform(0, 2 * np.pi, dim))):
+        assert abs(diagonal_distance(diag, v) - phase_distance(dense, np.diag(v))) < 1e-12
+
+
+def test_monomial_action_rejects_hadamard_and_rot_x():
+    for g in (hadamard(1), rot_x(0, "02", 0.3)):
+        with pytest.raises(NotMonomial):
+            monomial_action(Circuit(2, (cx(0, 1), g)))
+
+
+def test_monomial_action_of_swap():
+    swap = Circuit(2, (cx(0, 1), cx_dag(1, 0), cx(0, 1), sigma_x(0, "12")))
+    targets, phases = monomial_action(swap)
+    assert list(targets) == [3 * b + a for a in range(3) for b in range(3)]
+    assert np.array_equal(phases, np.ones(9))
+
+
+def test_monomial_action_checks_unitarity(monkeypatch):
+    real = sim.gate_unitary
+
+    def doubled_z(g):
+        return 2 * real(g) if g.kind == "Z" else real(g)
+
+    def collapsing_x(g):
+        return np.array([[1, 1, 0], [0, 0, 0], [0, 0, 1]]) if g.kind == "X" else real(g)
+
+    for fake in (doubled_z, collapsing_x):
+        monkeypatch.setattr(sim, "gate_unitary", fake)
+        with pytest.raises(DimensionMismatch, match="not unitary"):
+            monomial_action(Circuit(1, (z_pow(0), x_pow(0))))
+
+
+def test_circuit_diagonal_dense_fallback_and_cap():
+    c = Circuit(2, (hadamard(0), cx(0, 1), rot_z(1, "01", 0.4), hadamard(0)))
+    diag, method = circuit_diagonal(c)
+    assert method == "dense"
+    assert np.array_equal(diag, np.diagonal(circuit_unitary(c)))
+    with pytest.raises(DimensionCap):
+        circuit_diagonal(Circuit(9))
+    with pytest.raises(DimensionMismatch):
+        diagonal_distance(np.ones(3), np.ones(9))
