@@ -56,34 +56,43 @@ def _generator_from_args(args) -> dict:
     raise TritcircError("provide --generator, --gellmann, or --weyl-s")
 
 
-def _compile_generator(gen: dict) -> Circuit:
-    theta = float(gen["theta"])
-    if gen["type"] == "gellmann":
-        return decompose_gellmann(weyl.GellMannString(tuple(gen["indices"])), theta)
-    if gen["type"] == "weyl":
-        c = complex(gen["c"]["re"], gen["c"].get("im", 0.0))
-        return decompose_weyl(weyl.WeylZString(c, tuple(gen["s"])), theta)
+def _parse_generator(gen) -> tuple[weyl.GellMannString | weyl.WeylZString, float]:
+    """The string operator and angle a generator dict names.
+
+    JSON values of the wrong type (a top-level list, ``"indices": 3``,
+    ``"c": 1``) raise ``TritcircError`` like every other malformed input.
+    """
+    if not isinstance(gen, dict):
+        raise TritcircError(
+            f"generator must be a JSON object, got {type(gen).__name__}"
+        )
+    try:
+        theta = float(gen["theta"])
+        if gen["type"] == "gellmann":
+            return weyl.GellMannString(tuple(gen["indices"])), theta
+        if gen["type"] == "weyl":
+            c = complex(gen["c"]["re"], gen["c"].get("im", 0.0))
+            return weyl.WeylZString(c, tuple(gen["s"])), theta
+    except TypeError as exc:
+        raise TritcircError(f"malformed generator: {exc}") from None
     raise TritcircError(f"unknown generator type {gen.get('type')!r}")
 
 
-def _exact_generator_phases(gen: dict) -> np.ndarray:
+def _compile_generator(op, theta: float) -> Circuit:
+    if isinstance(op, weyl.GellMannString):
+        return decompose_gellmann(op, theta)
+    return decompose_weyl(op, theta)
+
+
+def _exact_generator_phases(op, theta: float) -> np.ndarray:
     """Diagonal of the generator's exact exponential."""
-    theta = float(gen["theta"])
-    if gen["type"] == "gellmann":
-        diag = np.ones(1)
-        for i in gen["indices"]:
-            diag = np.kron(diag, np.real(np.diag(weyl.gellmann_matrix(int(i)))))
-        return np.exp(-1j * theta * diag)
-    if gen["type"] == "weyl":
-        c = complex(gen["c"]["re"], gen["c"].get("im", 0.0))
-        w = weyl.WeylZString(c, tuple(gen["s"]))
-        return np.exp(-1j * (theta / 2.0) * weyl.weyl_string_diagonal(w))
-    raise TritcircError(f"unknown generator type {gen.get('type')!r}")
+    if isinstance(op, weyl.GellMannString):
+        return np.exp(-1j * theta * weyl.gellmann_string_diagonal(op))
+    return np.exp(-1j * (theta / 2.0) * weyl.weyl_string_diagonal(op))
 
 
 def _cmd_decompose(args) -> int:
-    gen = _generator_from_args(args)
-    circuit = _compile_generator(gen)
+    circuit = _compile_generator(*_parse_generator(_generator_from_args(args)))
     if args.out:
         dump_json(circuit_to_dict(circuit), args.out)
     counts = count_gates(circuit)
@@ -101,8 +110,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_verify(args) -> int:
     circuit = circuit_from_dict(load_json(args.circuit))
-    gen = load_json(args.generator)
-    exact = _exact_generator_phases(gen)
+    exact = _exact_generator_phases(*_parse_generator(load_json(args.generator)))
     diag, method = circuit_diagonal(circuit)
     dist = diagonal_distance(diag, exact)
     payload = {"method": method, "phase_distance": dist,

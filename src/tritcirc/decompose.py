@@ -7,7 +7,11 @@ Conventions:
 
 The entangling ladder accumulates sum_j s_j x_j + x_N onto the last qutrit:
 CX^{s_j} gates before the rotations, CX^{2 s_j} (their inverses) after.  The
-rotation block then applies the diagonal phases of c Z + c* Z^dag.
+rotation block then applies the diagonal phases of c Z + c* Z^dag.  A
+Gell-Mann string is a sum of 2^{N-1} such blocks; ``decompose_gellmann``
+visits them in Gray order and emits only one CX^{+-1} between neighbouring
+blocks, never the full ladders.  ``gray_order`` and ``merge_cx_ladders`` spell
+out the block-by-block construction that this shortcut reproduces.
 """
 
 from __future__ import annotations
@@ -16,7 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompleteExpansion, UnsupportedWeight, ZeroCoefficient
+from .errors import (
+    DimensionCap,
+    IncompleteExpansion,
+    UnsupportedWeight,
+    ZeroCoefficient,
+)
 from .gates import (
     Circuit,
     DIAGONAL_KINDS,
@@ -27,10 +36,10 @@ from .gates import (
     rot_z,
 )
 from .weyl import (
+    MAX_CLOSED_FORM_WEIGHT,
     GellMannString,
     WeylExpansion,
     WeylZString,
-    expand_closed_form,
 )
 
 SQRT3 = float(np.sqrt(3.0))
@@ -65,11 +74,7 @@ def rotation_synthesis(c: complex, theta: float, qutrit: int = 0) -> list[Gate]:
     return gates
 
 
-def _weyl_ladder_circuit(
-    num_qutrits: int,
-    support: list[tuple[int, int]],
-    rotations: list[Gate],
-) -> Circuit:
+def _weyl_ladder(support: list[tuple[int, int]], rotations: list[Gate]) -> list[Gate]:
     """Entangle ``support`` (qutrit, exponent) pairs onto the last support
     qutrit, apply ``rotations`` there, and disentangle."""
     *rest, (target, last_exp) = support
@@ -77,7 +82,7 @@ def _weyl_ladder_circuit(
     gates = [cx_pow(q, target, e) for q, e in rest]
     gates.extend(rotations)
     gates.extend(cx_pow(q, target, 2 * e) for q, e in reversed(rest))
-    return Circuit(num_qutrits, tuple(gates))
+    return gates
 
 
 def decompose_weyl(w: WeylZString, theta: float) -> Circuit:
@@ -89,7 +94,7 @@ def decompose_weyl(w: WeylZString, theta: float) -> Circuit:
     n = w.weight
     support = [(j, e) for j, e in enumerate(w.s)] + [(n - 1, 1)]
     rotations = rotation_synthesis(w.c, theta, qutrit=n - 1)
-    return _weyl_ladder_circuit(n, support, rotations)
+    return Circuit(n, tuple(_weyl_ladder(support, rotations)))
 
 
 def gray_order(expansion: WeylExpansion) -> list:
@@ -127,44 +132,44 @@ def _block_rotations(parity_odd: bool, n_mod3: int, r: float, theta: float,
     return [rot_z(qutrit, sub, ang) for sub, ang in pair]
 
 
-def decompose_gellmann(
-    g: GellMannString, theta: float, block_order: list[int] | None = None
-) -> Circuit:
+def decompose_gellmann(g: GellMannString, theta: float) -> Circuit:
     """Compile exp(-i theta lambda^{i_1} x ... x lambda^{i_N}).
 
-    Emits one ladder block per expansion term in Gray order, then cancels
-    adjacent disentangle/entangle ladders, leaving 2^{N-1} + 2N - 3
-    entangling gates.  ``block_order`` overrides the Gray sequence (the
-    blocks commute, so any order is unitarily equivalent but may cancel
-    less).
+    The tensor product expands into 2^{N-1} Z-string blocks, one per exponent
+    string s (rightmost exponent 1).  Walking them in binary-reflected Gray
+    order, consecutive strings differ in one exponent, so the disentangling
+    ladder of one block and the entangling ladder of the next cancel to a
+    single CX^{+-1} on that control (the Gray-code walk of Welch et al.,
+    NJP 2014).  The circuit is emitted in that merged form directly: the
+    first ladder, then per block its step gate and its rotations, then the
+    final ladder; 2^{N-1} + 2N - 3 entangling gates in all.  The output
+    equals :func:`merge_cx_ladders` applied to the full per-block ladders in
+    :func:`gray_order`.
     """
     n = g.weight
     if n < 2:
         raise UnsupportedWeight("need weight >= 2")
-    expansion = expand_closed_form(g)  # raises DimensionCap past weight 16
-    if block_order is None:
-        ordered = gray_order(expansion)
-    else:
-        if sorted(block_order) != list(range(2 ** (n - 1))):
-            raise IncompleteExpansion("block_order must permute all expansion indices")
-        by_k = {t.k: t for t in expansion.terms}
-        ordered = [by_k[k] for k in block_order]
+    if n > MAX_CLOSED_FORM_WEIGHT:
+        raise DimensionCap(f"closed form capped at weight {MAX_CLOSED_FORM_WEIGHT}")
     parity_odd = g.n3 % 2 == 1
     scale = 1.0 / np.sqrt(3.0**n)
-    gates: list[Gate] = []
-    for term in ordered:
-        full = term.s + (1,)
+    target = n - 1
+    s = [1] * target  # exponent string of the current block, Gray index 0
+    gates: list[Gate] = [cx_pow(j, target, 1) for j in range(target)]
+    for t in range(2 ** target):
+        if t:
+            flip = (t & -t).bit_length() - 1  # lowest set bit of t
+            step = 1 if s[flip] == 1 else -1
+            s[flip] += step
+            gates.append(cx_pow(flip, target, step))
+        full = s + [1]
         n_mod3 = sum(full) % 3
-        # term.c = i^{n3} (-1)^{f+N} scale omega^n = (i if odd else 1) * r * omega^n
+        # c(s) = i^{n3} (-1)^{f+N} scale omega^n = (i if odd else 1) * r * omega^n
         f = sum(full[j] - 1 for j in range(n) if g.indices[j] == 3)
         r = scale * (-1.0) ** (f + n + g.n3 // 2)
-        rotations = _block_rotations(parity_odd, n_mod3, r, 2.0 * theta, n - 1)
-        gates.extend(cx_pow(j, n - 1, e) for j, e in enumerate(term.s))
-        gates.extend(rotations)
-        gates.extend(
-            cx_pow(j, n - 1, 2 * e) for j, e in reversed(list(enumerate(term.s)))
-        )
-    return merge_cx_ladders(Circuit(n, tuple(gates)))
+        gates.extend(_block_rotations(parity_odd, n_mod3, r, 2.0 * theta, target))
+    gates.extend(cx_pow(j, target, 2 * e) for j, e in enumerate(s))
+    return Circuit(n, tuple(gates))
 
 
 def merge_cx_ladders(circuit: Circuit) -> Circuit:

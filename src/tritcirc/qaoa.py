@@ -16,9 +16,9 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .decompose import count_gates, rotation_synthesis, _weyl_ladder_circuit
+from .decompose import count_gates, rotation_synthesis, _weyl_ladder
 from .errors import DimensionMismatch, InvalidCircuit, UnsupportedK
-from .gates import Circuit, Gate, cx, cx_dag, hadamard, rot_x, rot_z
+from .gates import Circuit, Gate, cx, cx_dag, hadamard, rot_x
 from .sim import trit_columns
 
 #: One term of an edge Hamiltonian: ((qutrit, exponent), ...) sorted by
@@ -105,13 +105,12 @@ def edge_hamiltonian_terms(k: int, v: int, w: int) -> list[EdgeTerm]:
     return terms
 
 
-def _rot_box(q: int, angle: float) -> list[Gate]:
-    # exp(-i angle/2 (Z + Z^dag)) on one wire: the unit-coefficient rotation pair
-    return [rot_z(q, "01", angle), rot_z(q, "02", angle)]
+# The templates below rotate with rotation_synthesis(1.0, gamma, qutrit=q),
+# exp(-i gamma/2 (Z + Z^dag)) on wire q: the RotZ(01)/RotZ(02) pair.
 
 
 def _edge_template_3(gamma: float) -> Circuit:
-    gates = [cx_dag(0, 1), *_rot_box(1, gamma), cx(0, 1)]
+    gates = [cx_dag(0, 1), *rotation_synthesis(1.0, gamma, qutrit=1), cx(0, 1)]
     return Circuit(2, tuple(gates))
 
 
@@ -120,10 +119,10 @@ def _edge_template_9(gamma: float) -> Circuit:
     gates = [cx_dag(v0, w0), cx_dag(v1, w1)]
     for _ in range(2):
         gates.append(cx_dag(w0, w1))
-        gates.extend(_rot_box(w1, gamma))
+        gates.extend(rotation_synthesis(1.0, gamma, qutrit=w1))
     gates.append(cx_dag(w0, w1))
-    gates.extend(_rot_box(w0, gamma))
-    gates.extend(_rot_box(w1, gamma))
+    gates.extend(rotation_synthesis(1.0, gamma, qutrit=w0))
+    gates.extend(rotation_synthesis(1.0, gamma, qutrit=w1))
     gates.extend([cx(v1, w1), cx(v0, w0)])
     return Circuit(4, tuple(gates))
 
@@ -135,36 +134,34 @@ def _edge_template_27(gamma: float) -> Circuit:
     for src, tgt in ((w0, w1), (w0, w2), (w1, w2)):
         for _ in range(2):
             gates.append(cx_dag(src, tgt))
-            gates.extend(_rot_box(tgt, gamma))
+            gates.extend(rotation_synthesis(1.0, gamma, qutrit=tgt))
         gates.append(cx_dag(src, tgt))
     # weight-6 walk on w2 through the four mixed offsets
     gates.append(cx(w1, w2))  # pass-through, already rotated
     gates.append(cx(w0, w2))
-    gates.extend(_rot_box(w2, gamma))
+    gates.extend(rotation_synthesis(1.0, gamma, qutrit=w2))
     gates.append(cx(w0, w2))
-    gates.extend(_rot_box(w2, gamma))
+    gates.extend(rotation_synthesis(1.0, gamma, qutrit=w2))
     gates.append(cx(w1, w2))
-    gates.extend(_rot_box(w2, gamma))
+    gates.extend(rotation_synthesis(1.0, gamma, qutrit=w2))
     gates.append(cx_dag(w0, w2))
-    gates.extend(_rot_box(w2, gamma))
+    gates.extend(rotation_synthesis(1.0, gamma, qutrit=w2))
     gates.append(cx_dag(w0, w2))  # pass-through
     gates.append(cx(w1, w2))  # restore
     for q in (w0, w1, w2):
-        gates.extend(_rot_box(q, gamma))
+        gates.extend(rotation_synthesis(1.0, gamma, qutrit=q))
     gates.extend([cx(v0, w0), cx(v1, w1), cx(v2, w2)])
     return Circuit(6, tuple(gates))
 
 
 def _edge_generic(k: int, gamma: float) -> Circuit:
     m = _colors_per_qutrit_count(k)
-    circuit = Circuit(2 * m)
+    gates: list[Gate] = []
     for term in edge_hamiltonian_terms(k, 0, 1):
         target = term[-1][0]
-        block = _weyl_ladder_circuit(
-            2 * m, list(term), rotation_synthesis(1.0, gamma, qutrit=target)
-        )
-        circuit = circuit.extended(block.gates)
-    return circuit
+        rotations = rotation_synthesis(1.0, gamma, qutrit=target)
+        gates.extend(_weyl_ladder(list(term), rotations))
+    return Circuit(2 * m, tuple(gates))
 
 
 def edge_circuit(k: int, v: int, w: int, gamma: float) -> Circuit:

@@ -32,12 +32,30 @@ OMEGA = np.exp(2j * np.pi / 3)
 MAX_DENSE_QUTRITS = 8
 
 X_MATRIX = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
+X2_MATRIX = X_MATRIX @ X_MATRIX
 Z_MATRIX = np.diag([1.0 + 0j, OMEGA, OMEGA**2])
+Z2_MATRIX = Z_MATRIX @ Z_MATRIX
 # Uniform-superposition gate fixed by H Z H^dag = X (the omega / omega^2
 # layout below is what satisfies that identity; H^dag = H^3, H^4 = 1).
 HADAMARD_MATRIX = (-1j / np.sqrt(3)) * np.array(
     [[1, 1, 1], [1, OMEGA**2, OMEGA], [1, OMEGA, OMEGA**2]], dtype=complex
 )
+# Control is the first tensor factor: CX^p = sum_j |j><j| x X^{p j}.
+_CONTROL_PROJECTORS = [np.diag(np.eye(3)[j]) for j in range(3)]
+CX_MATRIX = sum(np.kron(p, m) for p, m in
+                zip(_CONTROL_PROJECTORS, (np.eye(3), X_MATRIX, X2_MATRIX)))
+CXDAG_MATRIX = sum(np.kron(p, m) for p, m in
+                   zip(_CONTROL_PROJECTORS, (np.eye(3), X2_MATRIX, X_MATRIX)))
+
+# Matrices of the gate kinds without parameters; ``gate_unitary`` returns
+# these shared, read-only arrays as they are.
+_FIXED_GATE_MATRICES = {
+    "X": X_MATRIX, "X2": X2_MATRIX, "Z": Z_MATRIX, "Z2": Z2_MATRIX,
+    "H": HADAMARD_MATRIX, "CX": CX_MATRIX, "CXDag": CXDAG_MATRIX,
+}
+for _m in _FIXED_GATE_MATRICES.values():
+    _m.flags.writeable = False
+del _m
 
 _SUBSPACE_PAIRS = {"01": (0, 1), "02": (0, 2), "12": (1, 2)}
 
@@ -68,39 +86,17 @@ def sigma_x_matrix(subspace: str) -> np.ndarray:
     return m
 
 
-def _cx_matrix(power: int) -> np.ndarray:
-    # Control is the first tensor factor: blocks 1, X^power, X^2power.
-    out = np.zeros((9, 9), dtype=complex)
-    for j in range(3):
-        out[3 * j : 3 * j + 3, 3 * j : 3 * j + 3] = np.linalg.matrix_power(
-            X_MATRIX, (power * j) % 3
-        )
-    return out
-
-
 def gate_unitary(g: Gate) -> np.ndarray:
-    """Exact 3x3 (or 9x9, control first) matrix of one gate."""
-    if g.kind == "X":
-        m = X_MATRIX
-    elif g.kind == "X2":
-        m = X_MATRIX @ X_MATRIX
-    elif g.kind == "Z":
-        m = Z_MATRIX
-    elif g.kind == "Z2":
-        m = Z_MATRIX @ Z_MATRIX
-    elif g.kind == "H":
-        m = HADAMARD_MATRIX
-    elif g.kind == "RotZ":
+    """Exact 3x3 (or 9x9, control first) matrix of one gate, read-only."""
+    fixed = _FIXED_GATE_MATRICES.get(g.kind)
+    if fixed is not None:
+        return fixed
+    if g.kind == "RotZ":
         m = rot_z_matrix(g.subspace, g.angle)
     elif g.kind == "RotX":
         m = rot_x_matrix(g.subspace, g.angle)
-    elif g.kind == "SigmaX":
+    else:  # SigmaX
         m = sigma_x_matrix(g.subspace)
-    elif g.kind == "CX":
-        m = _cx_matrix(1)
-    else:  # CXDag
-        m = _cx_matrix(2)
-    m = m.copy()
     m.flags.writeable = False
     return m
 

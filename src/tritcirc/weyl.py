@@ -147,6 +147,16 @@ def gellmann_matrix(index: int) -> np.ndarray:
     return m
 
 
+def gellmann_string_diagonal(g: GellMannString) -> np.ndarray:
+    """Real diagonal of lambda^{i_1} x ... x lambda^{i_N}, qutrit 0 leftmost."""
+    if g.weight > MAX_ORACLE_WEIGHT:
+        raise DimensionCap(f"dense strings capped at weight {MAX_ORACLE_WEIGHT}")
+    diag = np.ones(1)
+    for i in g.indices:
+        diag = np.kron(diag, np.real(np.diag(_GELLMANN[i])))
+    return diag
+
+
 def tilde_lambda(index: int) -> np.ndarray:
     """Shift-conjugated diagonal generators: -X lambda X^dag for index 3 or 8."""
     if index not in (3, 8):
@@ -192,9 +202,7 @@ def expand_oracle(g: GellMannString) -> WeylExpansion:
     n = g.weight
     if n > MAX_ORACLE_WEIGHT:
         raise DimensionCap(f"oracle capped at weight {MAX_ORACLE_WEIGHT}")
-    diag = np.ones(1)
-    for i in g.indices:
-        diag = np.kron(diag, np.real(np.diag(_GELLMANN[i])))
+    diag = gellmann_string_diagonal(g)
     trits = trit_columns(n)
     terms = []
     recon = np.zeros(3**n, dtype=complex)

@@ -180,3 +180,40 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+MALFORMED_GENERATORS = {
+    "indices-not-a-list": {"type": "gellmann", "indices": 3, "theta": 0.5},
+    "top-level-list": [3, 3, 8],
+    "c-not-an-object": {"type": "weyl", "c": 1, "s": [2, 1], "theta": 0.5},
+}
+
+
+@pytest.mark.parametrize("command", ["decompose", "verify"])
+@pytest.mark.parametrize("name", sorted(MALFORMED_GENERATORS))
+def test_malformed_generator_exits_1_with_json(tmp_path, capsys, command, name):
+    gen = tmp_path / "g.json"
+    circuit = tmp_path / "c.json"
+    dump_json(MALFORMED_GENERATORS[name], str(gen))
+    if command == "decompose":
+        argv = ["decompose", "--generator", str(gen), "--out", str(circuit)]
+    else:
+        dump_json({"n": 2, "gates": []}, str(circuit))
+        argv = ["verify", "--circuit", str(circuit), "--generator", str(gen)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "TritcircError"
+    if command == "decompose":
+        assert not circuit.exists()
+
+
+def test_verify_rejects_gellmann_indices_outside_3_and_8(tmp_path, capsys):
+    gen = tmp_path / "g.json"
+    circuit = tmp_path / "c.json"
+    dump_json({"type": "gellmann", "indices": [3, 5], "theta": 0.5}, str(gen))
+    dump_json({"n": 2, "gates": []}, str(circuit))
+    code = main(["verify", "--circuit", str(circuit), "--generator", str(gen)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidSymbol"

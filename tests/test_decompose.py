@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tritcirc.decompose import (
+    _block_rotations,
     count_gates,
     decompose_gellmann,
     decompose_weyl,
@@ -10,9 +11,10 @@ from tritcirc.decompose import (
     merge_cx_ladders,
     rotation_synthesis,
 )
-from tritcirc.errors import IncompleteExpansion, ZeroCoefficient
-from tritcirc.gates import Circuit, cx, cx_dag, sigma_x
+from tritcirc.errors import DimensionCap, IncompleteExpansion, ZeroCoefficient
+from tritcirc.gates import Circuit, cx, cx_dag, cx_pow, sigma_x
 from tritcirc.sim import (
+    OMEGA,
     Z_MATRIX,
     circuit_unitary,
     diagonal_exponential,
@@ -175,20 +177,47 @@ def test_decompose_gellmann_fixed_points(indices, cx, rotations):
         assert counts.rotation_count == rotations
 
 
-def test_block_order_override_is_unitarily_equivalent():
-    g = GellMannString((3, 8, 3))
-    theta = 0.63
-    exact = _exact_gellmann_exponential(g, theta)
-    for order in ([0, 1, 3, 2], [0, 2, 3, 1]):
-        circ = decompose_gellmann(g, theta, block_order=order)
-        assert phase_distance(circuit_unitary(circ), exact) < 1e-9
-    shuffled = decompose_gellmann(g, theta, block_order=[2, 0, 1, 3])
-    assert phase_distance(circuit_unitary(shuffled), exact) < 1e-9
+def _block_by_block_gellmann(g, theta):
+    """The construction ``decompose_gellmann`` shortcuts: one full ladder
+    block per expansion term, in Gray order, then merged."""
+    n = g.weight
+    parity_odd = g.n3 % 2 == 1
+    scale = 1.0 / np.sqrt(3.0**n)
+    gates = []
+    for term in gray_order(expand_closed_form(g)):
+        full = term.s + (1,)
+        n_mod3 = sum(full) % 3
+        f = sum(full[j] - 1 for j in range(n) if g.indices[j] == 3)
+        r = scale * (-1.0) ** (f + n + g.n3 // 2)
+        # the rotation parameters describe the term's own coefficient
+        assert abs((1j if parity_odd else 1) * r * OMEGA**n_mod3 - term.c) < 1e-15
+        gates.extend(cx_pow(j, n - 1, e) for j, e in enumerate(term.s))
+        gates.extend(_block_rotations(parity_odd, n_mod3, r, 2.0 * theta, n - 1))
+        gates.extend(
+            cx_pow(j, n - 1, 2 * e) for j, e in reversed(list(enumerate(term.s)))
+        )
+    return merge_cx_ladders(Circuit(n, tuple(gates)))
 
 
-def test_decompose_gellmann_rejects_partial_block_order():
-    with pytest.raises(IncompleteExpansion):
-        decompose_gellmann(GellMannString((3, 3)), 0.1, block_order=[0])
+@pytest.mark.parametrize("weight", range(2, 11))
+def test_decompose_gellmann_equals_merged_block_construction(weight):
+    from itertools import product
+
+    rng = np.random.default_rng(SEED + weight)
+    if weight <= 6:
+        strings = list(product((3, 8), repeat=weight))
+    else:
+        strings = [tuple(int(i) for i in rng.choice((3, 8), size=weight))
+                   for _ in range(4)]
+    for indices in strings:
+        g = GellMannString(indices)
+        theta = float(rng.normal())
+        assert decompose_gellmann(g, theta) == _block_by_block_gellmann(g, theta), indices
+
+
+def test_decompose_gellmann_caps_weight_at_16():
+    with pytest.raises(DimensionCap):
+        decompose_gellmann(GellMannString((3,) * 17), 0.1)
 
 
 def test_merge_cx_ladders_cancels_and_preserves_unitary():

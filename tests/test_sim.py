@@ -67,10 +67,17 @@ def test_hadamard_order_four():
     assert np.allclose(h4, np.eye(3), atol=1e-12)
 
 
-@pytest.mark.parametrize("gate", ALL_SINGLE_GATES + [cx(0, 1), cx_dag(0, 1)])
+@pytest.mark.parametrize(
+    "gate",
+    ALL_SINGLE_GATES + [cx(0, 1), cx_dag(0, 1), z_pow(0, 1), z_pow(0, 2),
+                        rot_x(0, "12", 0.9)],
+)
 def test_every_gate_unitary(gate):
     u = gate_unitary(gate)
     assert np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])) < 1e-12
+    assert not u.flags.writeable
+    with pytest.raises(ValueError):
+        u[0, 0] = 0.0
 
 
 def test_cx_identities():

@@ -15,6 +15,7 @@ from tritcirc.weyl import (
     expansion_from_dict,
     expansion_to_dict,
     gellmann_matrix,
+    gellmann_string_diagonal,
     index_from_s,
     s_from_index,
     tilde_lambda,
@@ -162,6 +163,20 @@ def test_expansion_reconstructs_tensor():
         for t in exp.terms:
             recon += weyl_string_diagonal(WeylZString(t.c, t.s))
         assert np.max(np.abs(recon - direct)) < 1e-12
+
+
+def test_gellmann_string_diagonal_values_and_cap():
+    lam = {3: (1.0, -1.0, 0.0), 8: (1 / np.sqrt(3), 1 / np.sqrt(3), -2 / np.sqrt(3))}
+    for indices in [(3, 3), (8, 3, 8), (3, 8, 8, 3)]:
+        n = len(indices)
+        diag = gellmann_string_diagonal(GellMannString(indices))
+        assert diag.shape == (3**n,)
+        for x in range(3**n):
+            trits = [(x // 3 ** (n - 1 - q)) % 3 for q in range(n)]
+            expected = np.prod([lam[i][t] for i, t in zip(indices, trits)])
+            assert abs(diag[x] - expected) < 1e-15, (indices, x)
+    with pytest.raises(DimensionCap):
+        gellmann_string_diagonal(GellMannString((3,) * 9))
 
 
 def test_expansion_moduli_are_uniform():
