@@ -52,7 +52,6 @@ from .routing import (
     TernaryParityMap,
     Topology,
     apply_circuit_to_trits,
-    apply_row_op,
     decreasing_steiner_tree,
     grid_topology_3x3,
     line_topology,

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     DimensionCap,
     IncompleteExpansion,
+    InvalidSymbol,
     UnsupportedWeight,
     ZeroCoefficient,
 )
@@ -78,7 +79,8 @@ def _weyl_ladder(support: list[tuple[int, int]], rotations: list[Gate]) -> list[
     """Entangle ``support`` (qutrit, exponent) pairs onto the last support
     qutrit, apply ``rotations`` there, and disentangle."""
     *rest, (target, last_exp) = support
-    assert last_exp == 1, "canonical strings end in exponent 1"
+    if last_exp != 1:
+        raise InvalidSymbol(f"canonical strings end in exponent 1, got {last_exp}")
     gates = [cx_pow(q, target, e) for q, e in rest]
     gates.extend(rotations)
     gates.extend(cx_pow(q, target, 2 * e) for q, e in reversed(rest))

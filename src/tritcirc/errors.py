@@ -69,5 +69,9 @@ class NotInvertible(TritcircError):
     """A parity map is singular over GF(3)."""
 
 
+class EliminationFailed(TritcircError):
+    """A GF(3) elimination step did not leave the form it guarantees."""
+
+
 class NoHamiltonianPath(TritcircError):
     """The declared vertex ordering is not a Hamiltonian path."""

@@ -14,22 +14,30 @@ topology edges, guided by Steiner trees:
   step 3 rescales diagonal 2-entries with SigmaX(12).
 The emitted gate list, replayed as row operations, reduces the input map to
 the identity; its inverse circuit implements the map itself.
+
+The SWAP baseline runs the same elimination on the all-to-all graph and
+charges each row operation by its distance in the real topology.  Each step
+checks the form it must leave and raises ``EliminationFailed`` (not an
+``assert``) if it does not, so the checks also run under ``python -O``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .errors import (
     DisconnectedTerminals,
+    EliminationFailed,
     IndexOutOfRange,
     InvalidCircuit,
     NoDecreasingTree,
     NoHamiltonianPath,
     NotInvertible,
+    TritcircError,
     UnsupportedGate,
 )
 from .gates import Circuit, Gate, cx, cx_dag, inverse_circuit, sigma_x
@@ -118,11 +126,6 @@ class RowOp:
         return self
 
 
-def apply_row_op(pmap: TernaryParityMap, op: RowOp) -> TernaryParityMap:
-    m = _apply_op_array(pmap.matrix.copy(), op)
-    return TernaryParityMap(m)
-
-
 def _apply_op_array(m: np.ndarray, op: RowOp) -> np.ndarray:
     n = m.shape[0]
     if not (0 <= op.target < n) or (op.source is not None and not 0 <= op.source < n):
@@ -180,7 +183,10 @@ def apply_circuit_to_trits(circuit: Circuit, trits) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Topology:
-    """Connected graph with a declared ordering forming a Hamiltonian path."""
+    """Connected graph with a declared ordering forming a Hamiltonian path.
+
+    The sorted neighbour lists are built once, on construction.
+    """
 
     n: int
     edges: frozenset
@@ -201,10 +207,14 @@ class Topology:
                 raise NoHamiltonianPath(
                     f"consecutive ordered vertices {a}, {b} are not adjacent"
                 )
+        adjacency = [[] for _ in range(self.n)]
+        for a, b in sorted(edges):
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        object.__setattr__(self, "_adjacency", [sorted(a) for a in adjacency])
 
     def neighbors(self, v: int) -> list[int]:
-        out = [b if a == v else a for a, b in self.edges if v in (a, b)]
-        return sorted(out)
+        return self._adjacency[v]
 
 
 def line_topology(n: int) -> Topology:
@@ -393,35 +403,29 @@ class _Eliminator:
     """Mutable synthesis state in vertex-order (position) space."""
 
     def __init__(self, matrix: np.ndarray, topology: Topology):
-        self.top = topology
-        self.pos = {v: i for i, v in enumerate(topology.order)}
-        perm = list(topology.order)  # position -> vertex
-        self.perm = perm
-        n = matrix.shape[0]
-        self.m = matrix[np.ix_(perm, perm)] % 3
-        self.n = n
+        self.perm = list(topology.order)  # position -> vertex
+        pos = {v: i for i, v in enumerate(self.perm)}
+        self.n = n = len(self.perm)
+        self.top = Topology(
+            n, frozenset((pos[a], pos[b]) for a, b in topology.edges), range(n)
+        )
+        self.m = matrix[np.ix_(self.perm, self.perm)] % 3
         self.ops: list[RowOp] = []  # in position space
-        self.check_upper = False  # step 2 asserts triangularity per operation
-        # position-space adjacency
-        self.adj = {
-            i: sorted(
-                self.pos[u] for u in topology.neighbors(perm[i])
-            )
-            for i in range(n)
-        }
+        self.check_upper = False  # step 2 checks triangularity per operation
 
     def emit(self, op: RowOp):
         _apply_op_array(self.m, op)
         self.ops.append(op)
-        if self.check_upper:
-            assert _is_upper_triangular(self.m), f"triangular form broken by {op}"
+        # an op changes only its target row, so only that row can break the form
+        if self.check_upper and self.m[op.target, : op.target].any():
+            raise EliminationFailed(f"triangular form broken by {op}")
 
     # -- step helpers ------------------------------------------------------
 
     def _ensure_pivot(self, col: int, live: set):
         if self.m[col, col] % 3:
             return
-        bfs = _bfs_paths(lambda v: [u for u in self.adj[v] if u in live], [col])
+        bfs = _bfs_paths(lambda v: [u for u in self.top.neighbors(v) if u in live], [col])
         candidates = sorted(
             (r for r in live if r != col and self.m[r, col] % 3 and r in bfs),
             key=lambda r: (_bfs_depth(bfs, r), r),
@@ -437,7 +441,8 @@ class _Eliminator:
         for a, b in reversed(list(zip(path[:-1], path[1:]))):
             if not self.m[a, col] % 3:
                 self.emit(RowOp("add", a, b))
-        assert self.m[col, col] % 3, "pivot fill failed"
+        if not self.m[col, col] % 3:
+            raise NotInvertible(f"pivot fill failed in column {col}")
 
     def _clear_with_tree(self, col: int, tree: SteinerTree):
         """Per terminal: cascade the pivot value along the tree path through
@@ -454,12 +459,19 @@ class _Eliminator:
                     op = RowOp("sub", cur, prev)
                 self.emit(op)
                 cascade.append(op)
-                assert self.m[cur, col] % 3, "cascade lost the running value"
+                if not self.m[cur, col] % 3:
+                    raise EliminationFailed(
+                        f"cascade lost the running value at row {cur}, column {col}"
+                    )
             source = interior[-1] if interior else tree.root
             e, p = self.m[term, col] % 3, self.m[source, col] % 3
-            assert e and p, "terminal/pivot entries must be nonzero here"
+            if not (e and p):
+                raise EliminationFailed(
+                    f"zero terminal or pivot entry at rows {term}, {source}, column {col}"
+                )
             self.emit(RowOp("add" if (e + p) % 3 == 0 else "sub", term, source))
-            assert self.m[term, col] % 3 == 0, "terminal entry not cleared"
+            if self.m[term, col] % 3:
+                raise EliminationFailed(f"row {term} not cleared in column {col}")
             for op in reversed(cascade):
                 self.emit(op.inverse())
 
@@ -472,11 +484,8 @@ class _Eliminator:
             terminals = {r for r in live if r > col and self.m[r, col] % 3}
             if not terminals:
                 continue
-            tree = steiner_tree(
-                _position_topology(self), terminals | {col}, col, allowed=live
-            )
+            tree = steiner_tree(self.top, terminals | {col}, col, allowed=live)
             self._clear_with_tree(col, tree)
-            assert not any(self.m[r, col] % 3 for r in live if r > col)
 
     def diagonalize(self):
         self.check_upper = True
@@ -484,9 +493,7 @@ class _Eliminator:
             terminals = {r for r in range(col) if self.m[r, col] % 3}
             if not terminals:
                 continue
-            tree = decreasing_steiner_tree(
-                _position_topology(self), terminals | {col}, col
-            )
+            tree = decreasing_steiner_tree(self.top, terminals | {col}, col)
             self._clear_with_tree(col, tree)
         self.check_upper = False
 
@@ -495,17 +502,23 @@ class _Eliminator:
             if self.m[row, row] % 3 == 2:
                 self.emit(RowOp("double", row))
 
-
-def _position_topology(elim: _Eliminator) -> Topology:
-    edges = frozenset(
-        (min(elim.pos[a], elim.pos[b]), max(elim.pos[a], elim.pos[b]))
-        for a, b in elim.top.edges
-    )
-    return Topology(elim.n, edges, tuple(range(elim.n)))
-
-
-def _is_upper_triangular(m: np.ndarray) -> bool:
-    return not np.any(np.tril(m, -1) % 3)
+    def run(self) -> list[RowOp]:
+        """The three steps, each checked for the form it must leave; returns
+        the row operations in vertex labels."""
+        self.lower_triangularize()
+        if np.tril(self.m, -1).any():
+            raise EliminationFailed("step 1 left entries below the diagonal")
+        self.diagonalize()
+        if (self.m - np.diag(np.diag(self.m))).any():
+            raise EliminationFailed("step 2 left entries off the diagonal")
+        self.fix_diagonal()
+        if not np.array_equal(self.m, np.eye(self.n, dtype=np.int64)):
+            raise EliminationFailed("step 3 did not reach the identity")
+        perm = self.perm
+        return [
+            RowOp(op.kind, perm[op.target], None if op.source is None else perm[op.source])
+            for op in self.ops
+        ]
 
 
 def steiner_gauss_synthesize(
@@ -520,18 +533,7 @@ def steiner_gauss_synthesize(
         raise IndexOutOfRange(
             f"map size {pmap.n} does not match topology size {topology.n}"
         )
-    elim = _Eliminator(np.array(pmap.matrix), topology)
-    elim.lower_triangularize()
-    assert _is_upper_triangular(elim.m)
-    elim.diagonalize()
-    assert not np.any((elim.m - np.diag(np.diag(elim.m))) % 3)
-    elim.fix_diagonal()
-    assert np.array_equal(elim.m % 3, np.eye(elim.n, dtype=np.int64))
-    # map position-space ops back to vertex labels
-    ops = []
-    for op in elim.ops:
-        src = None if op.source is None else elim.perm[op.source]
-        ops.append(RowOp(op.kind, elim.perm[op.target], src))
+    ops = _Eliminator(np.array(pmap.matrix), topology).run()
     gates = tuple(op.gate() for op in ops)
     return SynthesisResult(Circuit(pmap.n, gates), tuple(ops))
 
@@ -543,41 +545,20 @@ def steiner_gauss_synthesize(
 def naive_swap_baseline_count(pmap: TernaryParityMap, topology: Topology) -> int:
     """CX count of all-to-all Gaussian elimination with SWAP-expanded gates.
 
-    Runs the same three-step elimination without topology constraints, then
-    charges each row operation 6(d-1)+1 CX-type gates, d the topology
-    distance (SWAP chains there and back at 3 CX-type gates per SWAP).
-    Doubling costs no CX-type gates.
+    Runs the same three-step elimination as ``steiner_gauss_synthesize`` on
+    the all-to-all graph, where every Steiner tree is a star on the pivot
+    row, then charges each add/sub operation 6(d-1)+1 CX-type gates, d the
+    topology distance (SWAP chains there and back at 3 CX-type gates per
+    SWAP).  Doubling costs no CX-type gates.
     """
     dist = _all_pairs_distances(topology)
-    m = np.array(pmap.matrix)
-    n = m.shape[0]
+    n = pmap.n
+    complete = Topology(n, frozenset(combinations(range(n), 2)), range(n))
     total = 0
-
-    def charge(i, j):
-        nonlocal total
-        d = dist[i][j]
-        total += 1 if d == 1 else 6 * (d - 1) + 1
-
-    for col in range(n):
-        if not m[col, col] % 3:
-            pivot = next(r for r in range(col + 1, n) if m[r, col] % 3)
-            m = _apply_op_array(m, RowOp("add", col, pivot))
-            charge(pivot, col)
-        for row in range(col + 1, n):
-            if m[row, col] % 3:
-                kind = "add" if (m[row, col] + m[col, col]) % 3 == 0 else "sub"
-                m = _apply_op_array(m, RowOp(kind, row, col))
-                charge(col, row)
-    for col in range(n - 1, 0, -1):
-        for row in range(col - 1, -1, -1):
-            if m[row, col] % 3:
-                kind = "add" if (m[row, col] + m[col, col]) % 3 == 0 else "sub"
-                m = _apply_op_array(m, RowOp(kind, row, col))
-                charge(col, row)
-    for row in range(n):
-        if m[row, row] % 3 == 2:
-            m = _apply_op_array(m, RowOp("double", row))
-    assert np.array_equal(m % 3, np.eye(n, dtype=np.int64))
+    for op in _Eliminator(np.array(pmap.matrix), complete).run():
+        if op.source is not None:
+            d = dist[op.source][op.target]
+            total += 1 if d == 1 else 6 * (d - 1) + 1
     return total
 
 
@@ -608,9 +589,20 @@ def parity_map_to_dict(pmap: TernaryParityMap) -> dict:
     return {"n": pmap.n, "rows": pmap.matrix.tolist()}
 
 
+def _json_object(d, what: str) -> dict:
+    if not isinstance(d, dict):
+        raise TritcircError(f"{what} must be a JSON object, got {type(d).__name__}")
+    return d
+
+
 def parity_map_from_dict(d: dict) -> TernaryParityMap:
-    rows = np.array(d["rows"], dtype=np.int64)
-    if rows.shape != (int(d["n"]), int(d["n"])):
+    d = _json_object(d, "parity map")
+    try:
+        rows = np.array(d["rows"], dtype=np.int64)
+        n = int(d["n"])
+    except TypeError as exc:
+        raise TritcircError(f"malformed parity map: {exc}") from None
+    if rows.shape != (n, n):
         raise NotInvertible("rows do not form an n x n matrix")
     return TernaryParityMap(rows)
 
@@ -620,11 +612,14 @@ def topology_to_dict(t: Topology) -> dict:
 
 
 def topology_from_dict(d: dict) -> Topology:
-    return Topology(
-        int(d["n"]),
-        frozenset(tuple(e) for e in d["edges"]),
-        tuple(int(v) for v in d["order"]),
-    )
+    d = _json_object(d, "topology")
+    try:
+        n = int(d["n"])
+        edges = frozenset(tuple(int(v) for v in e) for e in d["edges"])
+        order = tuple(int(v) for v in d["order"])
+    except TypeError as exc:
+        raise TritcircError(f"malformed topology: {exc}") from None
+    return Topology(n, edges, order)
 
 
 def row_op_to_dict(op: RowOp) -> dict:

@@ -217,3 +217,26 @@ def test_verify_rejects_gellmann_indices_outside_3_and_8(tmp_path, capsys):
     code = main(["verify", "--circuit", str(circuit), "--generator", str(gen)])
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"] == "InvalidSymbol"
+
+
+MALFORMED_ROUTE_INPUTS = {
+    "edges-not-a-list": ("topology", {"n": 2, "edges": 3, "order": [0, 1]}),
+    "topology-top-level-list": ("topology", [[0, 1]]),
+    "parity-top-level-list": ("parity", [[1]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_ROUTE_INPUTS))
+def test_malformed_route_input_exits_1_with_json(tmp_path, capsys, name):
+    files = {"parity": {"n": 2, "rows": [[1, 0], [0, 1]]},
+             "topology": {"n": 2, "edges": [[0, 1]], "order": [0, 1]}}
+    which, payload = MALFORMED_ROUTE_INPUTS[name]
+    files[which] = payload
+    for key, value in files.items():
+        dump_json(value, str(tmp_path / f"{key}.json"))
+    code = main(["route", "--parity", str(tmp_path / "parity.json"),
+                 "--topology", str(tmp_path / "topology.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "TritcircError"

@@ -3,6 +3,7 @@ import pytest
 
 from tritcirc.decompose import (
     _block_rotations,
+    _weyl_ladder,
     count_gates,
     decompose_gellmann,
     decompose_weyl,
@@ -11,7 +12,12 @@ from tritcirc.decompose import (
     merge_cx_ladders,
     rotation_synthesis,
 )
-from tritcirc.errors import DimensionCap, IncompleteExpansion, ZeroCoefficient
+from tritcirc.errors import (
+    DimensionCap,
+    IncompleteExpansion,
+    InvalidSymbol,
+    ZeroCoefficient,
+)
 from tritcirc.gates import Circuit, cx, cx_dag, cx_pow, sigma_x
 from tritcirc.sim import (
     OMEGA,
@@ -100,6 +106,11 @@ def test_decompose_weyl_zero_angle():
     circ = decompose_weyl(w, 0.0)
     assert count_gates(circ).rotation_count > 0
     assert phase_distance(circuit_unitary(circ), np.eye(27)) < 1e-12
+
+
+def test_weyl_ladder_rejects_last_exponent_other_than_one():
+    with pytest.raises(InvalidSymbol):
+        _weyl_ladder([(0, 1), (1, 2)], [])
 
 
 @pytest.mark.parametrize(
