@@ -3,8 +3,9 @@
 Compiles exponentials of Weyl-Heisenberg Z-strings and diagonal Gell-Mann
 strings into CX/CX^2/rotation circuits, builds ternary-encoded QAOA layers
 for graph k-coloring, and synthesizes connectivity-respecting CX-only
-circuits from GF(3) parity maps.  Everything is checked against a dense
-simulator up to global phase.
+circuits from GF(3) parity maps.  Everything is checked against a simulator
+up to global phase: monomial circuits as a basis permutation plus a phase
+vector, the rest as a dense unitary.
 """
 
 from .decompose import (
@@ -12,7 +13,6 @@ from .decompose import (
     count_gates,
     decompose_gellmann,
     decompose_weyl,
-    drop_zero_rotations,
     gray_order,
     merge_cx_ladders,
     rotation_synthesis,
@@ -30,8 +30,6 @@ from .gates import (
     rot_x,
     rot_z,
     sigma_x,
-    x_pow,
-    z_pow,
 )
 from .qaoa import (
     ColoringProblem,
@@ -75,10 +73,7 @@ from .weyl import (
     expand_closed_form,
     expand_oracle,
     gellmann_matrix,
-    index_from_s,
     s_from_index,
-    tilde_lambda,
-    weyl_string_matrix,
 )
 
 __version__ = "0.1.0"

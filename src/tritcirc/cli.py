@@ -18,6 +18,7 @@ from .decompose import count_gates, decompose_gellmann, decompose_weyl
 from .errors import TritcircError
 from .gates import (
     Circuit,
+    _json_object,
     circuit_from_dict,
     circuit_to_dict,
     dump_json,
@@ -120,12 +121,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_qaoa(args) -> int:
-    graph = load_json(args.graph)
-    problem = qaoa.ColoringProblem(
-        int(graph["nodes"]),
-        tuple(tuple(e) for e in graph["edges"]),
-        args.k,
-    )
+    graph = _json_object(load_json(args.graph), "graph")
+    try:
+        edges = tuple(tuple(e) for e in graph["edges"])
+        problem = qaoa.ColoringProblem(int(graph["nodes"]), edges, args.k)
+    except TypeError as exc:
+        raise TritcircError(f"malformed graph: {exc}") from None
     spec = qaoa.QaoaLayerSpec(
         tuple(_parse_float_list(args.gammas)), tuple(_parse_float_list(args.betas))
     )

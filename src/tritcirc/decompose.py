@@ -57,21 +57,19 @@ class GateCounts:
 
 
 def rotation_synthesis(c: complex, theta: float, qutrit: int = 0) -> list[Gate]:
-    """Up to three RotZ gates realizing exp(-i theta/2 (c Z + c* Z^dag)).
+    """Up to three RotZ gates realizing exp(-i theta/2 (c Z + c* Z^dag)) exactly.
 
-    Re(c) = 0 yields the single RotZ(12); Im(c) = 0 the RotZ(01)/RotZ(02)
-    pair.  The product matches the target exactly (no residual phase).
+    Re(c) takes the n = 0 even row of :func:`_block_rotations` (RotZ(01) and
+    RotZ(02)), Im(c) the n = 0 odd row (RotZ(12)); a zero part emits nothing.
     """
     c = complex(c)
     if c == 0:
         raise ZeroCoefficient("coefficient must be nonzero")
-    a, b = c.real, c.imag
     gates = []
-    if a != 0.0:
-        gates.append(rot_z(qutrit, "01", a * theta))
-        gates.append(rot_z(qutrit, "02", a * theta))
-    if b != 0.0:
-        gates.append(rot_z(qutrit, "12", -SQRT3 * b * theta))
+    if c.real != 0.0:
+        gates.extend(_block_rotations(False, 0, c.real, theta, qutrit))
+    if c.imag != 0.0:
+        gates.extend(_block_rotations(True, 0, c.imag, theta, qutrit))
     return gates
 
 
@@ -209,16 +207,6 @@ def merge_cx_ladders(circuit: Circuit) -> Circuit:
     if run_target is not None:
         flush()
     return Circuit(circuit.num_qutrits, tuple(out))
-
-
-def drop_zero_rotations(circuit: Circuit, tol: float = 0.0) -> Circuit:
-    """Remove rotation gates whose angle magnitude is <= tol."""
-    kept = tuple(
-        g
-        for g in circuit.gates
-        if not (g.kind in ROTATION_KINDS and abs(g.angle) <= tol)
-    )
-    return Circuit(circuit.num_qutrits, kept)
 
 
 def count_gates(circuit: Circuit) -> GateCounts:

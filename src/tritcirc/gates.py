@@ -29,7 +29,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 
-from .errors import InvalidCircuit, InvalidGate
+from .errors import InvalidCircuit, InvalidGate, TritcircError
 
 SINGLE_QUTRIT_KINDS = frozenset({"X", "X2", "Z", "Z2", "RotZ", "RotX", "SigmaX", "H"})
 TWO_QUTRIT_KINDS = frozenset({"CX", "CXDag"})
@@ -78,20 +78,6 @@ class Gate:
     @property
     def is_cx_kind(self) -> bool:
         return self.kind in TWO_QUTRIT_KINDS
-
-
-def x_pow(q: int, power: int = 1) -> Gate:
-    p = power % 3
-    if p == 0:
-        raise InvalidGate("power must be nonzero mod 3")
-    return Gate("X" if p == 1 else "X2", (q,))
-
-
-def z_pow(q: int, power: int = 1) -> Gate:
-    p = power % 3
-    if p == 0:
-        raise InvalidGate("power must be nonzero mod 3")
-    return Gate("Z" if p == 1 else "Z2", (q,))
 
 
 def rot_z(q: int, subspace: str, angle: float) -> Gate:
@@ -144,9 +130,6 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
-    def extended(self, more) -> "Circuit":
-        return Circuit(self.num_qutrits, self.gates + tuple(more))
-
 
 _DAGGER_KIND = {"X": "X2", "X2": "X", "Z": "Z2", "Z2": "Z", "CX": "CXDag", "CXDag": "CX"}
 
@@ -192,7 +175,11 @@ def circuit_to_dict(c: Circuit) -> dict:
 
 
 def circuit_from_dict(d: dict) -> Circuit:
-    return Circuit(int(d["n"]), tuple(gate_from_dict(g) for g in d["gates"]))
+    d = _json_object(d, "circuit")
+    try:
+        return Circuit(int(d["n"]), tuple(gate_from_dict(g) for g in d["gates"]))
+    except TypeError as exc:
+        raise TritcircError(f"malformed circuit: {exc}") from None
 
 
 def dump_json(payload, path: str) -> None:
@@ -213,3 +200,9 @@ def dump_json(payload, path: str) -> None:
 def load_json(path: str):
     with open(path) as handle:
         return json.load(handle)
+
+
+def _json_object(d, what: str) -> dict:
+    if not isinstance(d, dict):
+        raise TritcircError(f"{what} must be a JSON object, got {type(d).__name__}")
+    return d

@@ -3,7 +3,8 @@
 Each node stores its color in m = log3(k) qutrits, so every basis state is a
 valid coloring and no penalty terms are needed.  The edge Hamiltonian is a sum
 of Z-strings that, per edge, penalizes equal colors; its exponential compiles
-to hand-tuned templates for k in {3, 9, 27} and to generic ladders otherwise.
+to hand-merged templates for k in {9, 27} and to one generic ladder per term
+otherwise.  For k = 3 that ladder (CX^2, rotations, CX) is already minimal.
 
 Angle convention: ``edge_circuit``/``cost_layer`` implement
 exp(-i * gamma/2 * H).
@@ -109,11 +110,6 @@ def edge_hamiltonian_terms(k: int, v: int, w: int) -> list[EdgeTerm]:
 # exp(-i gamma/2 (Z + Z^dag)) on wire q: the RotZ(01)/RotZ(02) pair.
 
 
-def _edge_template_3(gamma: float) -> Circuit:
-    gates = [cx_dag(0, 1), *rotation_synthesis(1.0, gamma, qutrit=1), cx(0, 1)]
-    return Circuit(2, tuple(gates))
-
-
 def _edge_template_9(gamma: float) -> Circuit:
     v0, v1, w0, w1 = 0, 1, 2, 3
     gates = [cx_dag(v0, w0), cx_dag(v1, w1)]
@@ -167,14 +163,12 @@ def _edge_generic(k: int, gamma: float) -> Circuit:
 def edge_circuit(k: int, v: int, w: int, gamma: float) -> Circuit:
     """Circuit for exp(-i gamma/2 H_edge) over 2m qutrits.
 
-    Wires 0..m-1 carry node ``v``, wires m..2m-1 node ``w``.  k in {3, 9, 27}
-    uses the merged templates (2, 7, 22 entangling gates); other powers of
-    three fall back to one generic ladder per term.
+    Wires 0..m-1 carry node ``v``, wires m..2m-1 node ``w``.  k in {9, 27}
+    uses the merged templates (7, 22 entangling gates); other powers of three,
+    k = 3 included (2 entangling gates), get one generic ladder per term.
     """
     if v == w:
         raise InvalidCircuit("edge endpoints must differ")
-    if k == 3:
-        return _edge_template_3(gamma)
     if k == 9:
         return _edge_template_9(gamma)
     if k == 27:
@@ -220,11 +214,12 @@ def initial_layer(num_qutrits: int) -> Circuit:
 def build_qaoa_circuit(
     problem: ColoringProblem, spec: QaoaLayerSpec
 ) -> Circuit:
-    circuit = initial_layer(problem.num_qutrits)
+    n = problem.num_qutrits
+    gates = list(initial_layer(n).gates)
     for gamma, beta in zip(spec.gammas, spec.betas):
-        circuit = circuit.extended(cost_layer(problem, gamma).gates)
-        circuit = circuit.extended(mixer_layer(problem.num_qutrits, beta).gates)
-    return circuit
+        gates.extend(cost_layer(problem, gamma).gates)
+        gates.extend(mixer_layer(n, beta).gates)
+    return Circuit(n, tuple(gates))
 
 
 def basis_cost_values(problem: ColoringProblem) -> np.ndarray:
@@ -238,9 +233,8 @@ def basis_cost_values(problem: ColoringProblem) -> np.ndarray:
     values = np.zeros(3**n)
     for v, w in problem.edges:
         for term in edge_hamiltonian_terms(problem.k, v, w):
-            combo = np.zeros(3**n, dtype=int)
-            for q, e in term:
-                combo += e * trits[:, q]
+            qutrits, exps = zip(*term)
+            combo = trits[:, list(qutrits)] @ np.array(exps)
             values += 2.0 * np.cos(2.0 * np.pi * (combo % 3) / 3.0)
     return values
 

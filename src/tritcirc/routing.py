@@ -40,9 +40,7 @@ from .errors import (
     TritcircError,
     UnsupportedGate,
 )
-from .gates import Circuit, Gate, cx, cx_dag, inverse_circuit, sigma_x
-
-PARITY_GATE_KINDS = frozenset({"CX", "CXDag", "SigmaX"})
+from .gates import Circuit, Gate, _json_object, cx, cx_dag, inverse_circuit, sigma_x
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +258,6 @@ class SteinerTree:
         return frozenset(self.parent) | {self.root}
 
     @property
-    def steiner_vertices(self) -> frozenset:
-        return self.vertices - self.terminals
-
-    @property
     def edge_list(self) -> list[tuple[int, int]]:
         return sorted((self.parent[v], v) for v in self.parent)
 
@@ -357,14 +351,7 @@ def decreasing_steiner_tree(topology: Topology, terminals, root: int) -> Steiner
     def down_nbrs(v):
         return [u for u in topology.neighbors(v) if pos[u] < pos[v]]
 
-    parent = {root: None}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for u in down_nbrs(v):
-            if u not in parent:
-                parent[u] = v
-                queue.append(u)
+    parent = _bfs_paths(down_nbrs, {root})
     if not terminals <= parent.keys():
         raise NoDecreasingTree(
             f"no decreasing paths to {sorted(set(terminals) - parent.keys())}"
@@ -587,12 +574,6 @@ def random_invertible_parity_map(n: int, rng: np.random.Generator) -> TernaryPar
 
 def parity_map_to_dict(pmap: TernaryParityMap) -> dict:
     return {"n": pmap.n, "rows": pmap.matrix.tolist()}
-
-
-def _json_object(d, what: str) -> dict:
-    if not isinstance(d, dict):
-        raise TritcircError(f"{what} must be a JSON object, got {type(d).__name__}")
-    return d
 
 
 def parity_map_from_dict(d: dict) -> TernaryParityMap:

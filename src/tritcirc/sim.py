@@ -263,13 +263,6 @@ def basis_state(num_qutrits: int, trits) -> np.ndarray:
     return state
 
 
-def index_to_trits(index: int, num_qutrits: int) -> tuple[int, ...]:
-    out = []
-    for q in range(num_qutrits):
-        out.append((index // 3 ** (num_qutrits - 1 - q)) % 3)
-    return tuple(out)
-
-
 def trit_columns(num_qutrits: int) -> np.ndarray:
     """Array of shape (3^n, n): trit q of every basis index (qutrit 0 leftmost)."""
     dim = 3**num_qutrits

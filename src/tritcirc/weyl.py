@@ -23,7 +23,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidSymbol,
 )
-from .sim import OMEGA, X_MATRIX, trit_columns
+from .sim import OMEGA, trit_columns
 
 MAX_ORACLE_WEIGHT = 8
 MAX_CLOSED_FORM_WEIGHT = 16
@@ -92,20 +92,13 @@ class WeylExpansion:
 def s_from_index(k: int, weight: int) -> tuple[int, ...]:
     """Exponent string for index ``k``: little-endian bits of k, shifted by 1.
 
-    s_j = 1 + bit_{j-1}(k); the inverse of :func:`index_from_s`.
+    s_j = 1 + bit_{j-1}(k), so k = sum_j (s_j - 1) 2^{j-1}.
     """
     if weight < 2:
         raise IndexOutOfRange(f"weight must be >= 2, got {weight}")
     if not 0 <= k < 2 ** (weight - 1):
         raise IndexOutOfRange(f"k={k} outside [0, 2^{weight - 1})")
     return tuple(1 + ((k >> j) & 1) for j in range(weight - 1))
-
-
-def index_from_s(s) -> int:
-    s = tuple(s)
-    if not s or any(e not in (1, 2) for e in s):
-        raise InvalidSymbol(f"exponents must be in {{1, 2}}, got {s}")
-    return sum((e - 1) << j for j, e in enumerate(s))
 
 
 def weyl_string_diagonal(w: WeylZString) -> np.ndarray:
@@ -117,12 +110,6 @@ def weyl_string_diagonal(w: WeylZString) -> np.ndarray:
     exps = np.array(list(w.s) + [1])
     phase = OMEGA ** (trits @ exps)
     return 2.0 * np.real(w.c * phase)
-
-
-def weyl_string_matrix(w: WeylZString) -> np.ndarray:
-    m = np.diag(weyl_string_diagonal(w).astype(complex))
-    m.flags.writeable = False
-    return m
 
 
 _GELLMANN: dict[int, np.ndarray] = {
@@ -155,15 +142,6 @@ def gellmann_string_diagonal(g: GellMannString) -> np.ndarray:
     for i in g.indices:
         diag = np.kron(diag, np.real(np.diag(_GELLMANN[i])))
     return diag
-
-
-def tilde_lambda(index: int) -> np.ndarray:
-    """Shift-conjugated diagonal generators: -X lambda X^dag for index 3 or 8."""
-    if index not in (3, 8):
-        raise IndexOutOfRange(f"tilde generators exist for 3 and 8, got {index}")
-    m = -X_MATRIX @ _GELLMANN[index] @ X_MATRIX.conj().T
-    m.flags.writeable = False
-    return m
 
 
 def expand_closed_form(g: GellMannString) -> WeylExpansion:
@@ -216,22 +194,3 @@ def expand_oracle(g: GellMannString) -> WeylExpansion:
     if err > 1e-12:
         raise IncompleteExpansion(f"oracle reconstruction error {err:.2e}")
     return WeylExpansion(g.indices, tuple(terms))
-
-
-def expansion_to_dict(e: WeylExpansion) -> dict:
-    return {
-        "indices": list(e.indices),
-        "terms": [
-            {"k": t.k, "s": list(t.s), "c": {"re": t.c.real, "im": t.c.imag}}
-            for t in e.terms
-        ],
-    }
-
-
-def expansion_from_dict(d: dict) -> WeylExpansion:
-    terms = tuple(
-        ExpansionTerm(int(t["k"]), tuple(int(x) for x in t["s"]),
-                      complex(t["c"]["re"], t["c"]["im"]))
-        for t in d["terms"]
-    )
-    return WeylExpansion(tuple(int(i) for i in d["indices"]), terms)

@@ -240,3 +240,35 @@ def test_malformed_route_input_exits_1_with_json(tmp_path, capsys, name):
     assert code == 1
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "TritcircError"
+
+
+MALFORMED_CIRCUIT_AND_GRAPH = {
+    "circuit-gates-not-a-list": ("verify", {"n": 2, "gates": 5}),
+    "circuit-qutrits-not-a-list": (
+        "verify", {"n": 2, "gates": [{"kind": "CX", "qutrits": 5}]}),
+    "circuit-top-level-list": ("verify", [1, 2]),
+    "graph-edges-not-a-list": ("qaoa", {"nodes": 3, "edges": 4}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CIRCUIT_AND_GRAPH))
+def test_malformed_circuit_or_graph_exits_1_with_json(tmp_path, capsys, name):
+    command, payload = MALFORMED_CIRCUIT_AND_GRAPH[name]
+    bad = tmp_path / "input.json"
+    dump_json(payload, str(bad))
+    if command == "verify":
+        gen = tmp_path / "g.json"
+        dump_json({"type": "gellmann", "indices": [3, 8], "theta": 0.5}, str(gen))
+        argv = ["verify", "--circuit", str(bad), "--generator", str(gen)]
+    else:
+        argv = ["qaoa", "--graph", str(bad), "--k", "3", "--gammas", "0.1",
+                "--betas", "0.2", "--out", str(tmp_path / "out.json")]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "TritcircError"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before

@@ -7,7 +7,6 @@ from tritcirc.decompose import (
     count_gates,
     decompose_gellmann,
     decompose_weyl,
-    drop_zero_rotations,
     gray_order,
     merge_cx_ladders,
     rotation_synthesis,
@@ -250,13 +249,6 @@ def test_merge_cx_ladders_respects_barriers():
     c = Circuit(2, (cx(0, 1), sigma_x(1, "12"), cx_dag(0, 1)))
     merged = merge_cx_ladders(c)
     assert len(merged) == 3  # the single-qutrit gate blocks cancellation
-
-
-def test_drop_zero_rotations():
-    from tritcirc.gates import rot_z
-
-    c = Circuit(1, (rot_z(0, "01", 0.0), rot_z(0, "02", 0.4)))
-    assert len(drop_zero_rotations(c)) == 1
 
 
 def test_count_gates_empty_and_swap():

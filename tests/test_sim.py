@@ -16,8 +16,6 @@ from tritcirc.gates import (
     rot_x,
     rot_z,
     sigma_x,
-    x_pow,
-    z_pow,
 )
 from tritcirc.sim import (
     HADAMARD_MATRIX,
@@ -36,8 +34,8 @@ from tritcirc.sim import (
 SEED = 20240911
 
 ALL_SINGLE_GATES = [
-    x_pow(0, 1),
-    x_pow(0, 2),
+    Gate("X", (0,)),
+    Gate("X2", (0,)),
     Circuit(1, (hadamard(0),)).gates[0],
     rot_z(0, "01", 0.7),
     rot_z(0, "02", -1.3),
@@ -49,8 +47,9 @@ ALL_SINGLE_GATES = [
 
 
 def test_x_shifts_basis():
-    assert np.allclose(gate_unitary(x_pow(0)) @ basis_state(1, [0]), basis_state(1, [1]))
-    assert np.allclose(gate_unitary(x_pow(0)) @ basis_state(1, [2]), basis_state(1, [0]))
+    x = gate_unitary(Gate("X", (0,)))
+    assert np.allclose(x @ basis_state(1, [0]), basis_state(1, [1]))
+    assert np.allclose(x @ basis_state(1, [2]), basis_state(1, [0]))
 
 
 def test_zero_angle_rotation_is_identity():
@@ -69,7 +68,7 @@ def test_hadamard_order_four():
 
 @pytest.mark.parametrize(
     "gate",
-    ALL_SINGLE_GATES + [cx(0, 1), cx_dag(0, 1), z_pow(0, 1), z_pow(0, 2),
+    ALL_SINGLE_GATES + [cx(0, 1), cx_dag(0, 1), Gate("Z", (0,)), Gate("Z2", (0,)),
                         rot_x(0, "12", 0.9)],
 )
 def test_every_gate_unitary(gate):
@@ -123,7 +122,7 @@ def _random_circuit(n, depth, rng):
         elif kind == 1:
             gates.append(hadamard(q))
         elif kind == 2:
-            gates.append(x_pow(q, int(rng.integers(1, 3))))
+            gates.append(Gate("X" if rng.integers(1, 3) == 1 else "X2", (q,)))
         elif kind == 3:
             sub = ("01", "02", "12")[rng.integers(0, 3)]
             gates.append(rot_z(q, sub, float(rng.normal())))
@@ -231,7 +230,7 @@ def test_monomial_action_checks_unitarity(monkeypatch):
     for fake in (doubled_z, collapsing_x):
         monkeypatch.setattr(sim, "gate_unitary", fake)
         with pytest.raises(DimensionMismatch, match="not unitary"):
-            monomial_action(Circuit(1, (z_pow(0), x_pow(0))))
+            monomial_action(Circuit(1, (Gate("Z", (0,)), Gate("X", (0,)))))
 
 
 def test_circuit_diagonal_dense_fallback_and_cap():

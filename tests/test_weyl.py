@@ -6,21 +6,16 @@ from tritcirc.errors import (
     IndexOutOfRange,
     InvalidSymbol,
 )
-from tritcirc.sim import OMEGA, X_MATRIX
+from tritcirc.sim import OMEGA, Z_MATRIX
 from tritcirc.weyl import (
     GellMannString,
     WeylZString,
     expand_closed_form,
     expand_oracle,
-    expansion_from_dict,
-    expansion_to_dict,
     gellmann_matrix,
     gellmann_string_diagonal,
-    index_from_s,
     s_from_index,
-    tilde_lambda,
     weyl_string_diagonal,
-    weyl_string_matrix,
 )
 
 SQRT27 = np.sqrt(27.0)
@@ -34,44 +29,43 @@ def test_s_from_index(k, weight, expected):
     assert s_from_index(k, weight) == expected
 
 
-@pytest.mark.parametrize("s,expected", [((1, 1), 0), ((2, 1), 1), ((2, 2), 3)])
-def test_index_from_s(s, expected):
-    assert index_from_s(s) == expected
-
-
 def test_index_round_trip():
     for weight in range(2, 11):
         for k in range(2 ** (weight - 1)):
-            assert index_from_s(s_from_index(k, weight)) == k
+            s = s_from_index(k, weight)
+            assert sum((e - 1) << j for j, e in enumerate(s)) == k
 
 
 def test_index_errors():
     with pytest.raises(IndexOutOfRange):
         s_from_index(4, 3)
     with pytest.raises(InvalidSymbol):
-        index_from_s((1, 3))
-    with pytest.raises(InvalidSymbol):
         WeylZString(1.0, ())
 
 
 def test_weyl_string_matrix_entries():
     # all-Z weight-2 string with c = 1/2: |00> entry is Re(2 * 1/2) = 1
-    m = weyl_string_matrix(WeylZString(0.5, (1,)))
-    assert m[0, 0] == pytest.approx(1.0)
+    d = weyl_string_diagonal(WeylZString(0.5, (1,)))
+    assert d[0] == pytest.approx(1.0)
     # purely imaginary coefficient cancels on the omega^0 eigenvector
-    m = weyl_string_matrix(WeylZString(1j, (1,)))
-    assert m[0, 0] == pytest.approx(0.0)
+    d = weyl_string_diagonal(WeylZString(1j, (1,)))
+    assert d[0] == pytest.approx(0.0)
     # c=1, s=[2]: |11> carries omega^2 * omega + c.c. = 2
-    m = weyl_string_matrix(WeylZString(1.0, (2,)))
-    assert m[4, 4] == pytest.approx(2.0)
+    d = weyl_string_diagonal(WeylZString(1.0, (2,)))
+    assert d[4] == pytest.approx(2.0)
 
 
 def test_weyl_string_matrix_is_diagonal_hermitian():
-    m = weyl_string_matrix(WeylZString(0.3 - 0.8j, (2, 1, 2)))
-    assert np.allclose(m, np.diag(np.diag(m)))
-    assert np.allclose(m, m.conj().T)
+    # c W + h.c., built densely from Z powers, equals diag(d) with d real
+    w = WeylZString(0.3 - 0.8j, (2, 1, 2))
+    d = weyl_string_diagonal(w)
+    op = np.ones((1, 1))
+    for e in w.s + (1,):
+        op = np.kron(op, np.linalg.matrix_power(Z_MATRIX, e))
+    assert np.isrealobj(d)
+    assert np.allclose(w.c * op + np.conj(w.c * op).T, np.diag(d))
     with pytest.raises(DimensionCap):
-        weyl_string_matrix(WeylZString(1.0, (1,) * 9))
+        weyl_string_diagonal(WeylZString(1.0, (1,) * 9))
 
 
 def test_gellmann_table():
@@ -89,16 +83,6 @@ def test_gellmann_table():
             assert ip == pytest.approx(2.0 if i == j else 0.0, abs=1e-13)
     with pytest.raises(IndexOutOfRange):
         gellmann_matrix(9)
-
-
-def test_tilde_lambda_values():
-    assert np.allclose(tilde_lambda(3), np.diag([0, -1, 1]))
-    assert np.allclose(tilde_lambda(8), np.diag([2, -1, -1]) / np.sqrt(3))
-    for i in (3, 8):
-        expected = -X_MATRIX @ gellmann_matrix(i) @ X_MATRIX.conj().T
-        assert np.max(np.abs(tilde_lambda(i) - expected)) < 1e-14
-    with pytest.raises(IndexOutOfRange):
-        tilde_lambda(5)
 
 
 def test_weyl_orthogonality_exhaustive():
@@ -185,12 +169,6 @@ def test_expansion_moduli_are_uniform():
         g = GellMannString(indices)
         for t in expand_closed_form(g).terms:
             assert abs(abs(t.c) - 3.0 ** (-g.weight / 2)) < 1e-12
-
-
-def test_expansion_json_round_trip():
-    exp = expand_closed_form(GellMannString((3, 8)))
-    again = expansion_from_dict(expansion_to_dict(exp))
-    assert again == exp
 
 
 def test_gellmann_string_validation():
