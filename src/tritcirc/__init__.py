@@ -44,7 +44,6 @@ from .qaoa import (
     resource_report,
 )
 from .routing import (
-    RowOp,
     SteinerTree,
     SynthesisResult,
     TernaryParityMap,

@@ -189,9 +189,9 @@ def _remap(circuit: Circuit, wires: list[int]) -> list[Gate]:
 def cost_layer(problem: ColoringProblem, gamma: float) -> Circuit:
     """exp(-i gamma/2 H_C): edge circuits concatenated in sorted edge order."""
     m = problem.qutrits_per_node
+    template = edge_circuit(problem.k, 0, 1, gamma)  # the same for every edge
     gates: list[Gate] = []
     for v, w in problem.edges:
-        template = edge_circuit(problem.k, v, w, gamma)
         wires = [m * v + l for l in range(m)] + [m * w + l for l in range(m)]
         gates.extend(_remap(template, wires))
     return Circuit(problem.num_qutrits, tuple(gates))

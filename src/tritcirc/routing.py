@@ -13,12 +13,14 @@ topology edges, guided by Steiner trees:
          the matrix upper triangular),
   step 3 rescales diagonal 2-entries with SigmaX(12).
 The emitted gate list, replayed as row operations, reduces the input map to
-the identity; its inverse circuit implements the map itself.
+the identity; its inverse circuit implements the map itself.  The
+row-operation log is that gate list written as add/sub/double.
 
-The SWAP baseline runs the same elimination on the all-to-all graph and
-charges each row operation by its distance in the real topology.  Each step
-checks the form it must leave and raises ``EliminationFailed`` (not an
-``assert``) if it does not, so the checks also run under ``python -O``.
+The SWAP baseline runs the same elimination, in the same vertex order, on the
+all-to-all graph and charges each row operation by its distance in the real
+topology.  Each step checks the form it must leave and raises
+``EliminationFailed`` (not an ``assert``) if it does not, so the checks also
+run under ``python -O``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ from .errors import (
     TritcircError,
     UnsupportedGate,
 )
-from .gates import Circuit, Gate, _json_object, cx, cx_dag, inverse_circuit, sigma_x
+from .gates import (
+    Circuit, Gate, _json_object, cx, cx_dag, inverse_circuit, inverse_gate, sigma_x,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -92,67 +96,31 @@ class TernaryParityMap:
         return tuple((self.matrix @ x) % 3)
 
 
-@dataclass(frozen=True)
-class RowOp:
-    """One GF(3) row operation; ``source`` is None for doubling."""
+def _apply_rows(rows, gates) -> None:
+    """Apply CX/CXDag/SigmaX(12) gates to GF(3) rows in place.
 
-    kind: str  # add | sub | double
-    target: int
-    source: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("add", "sub", "double"):
-            raise IndexOutOfRange(f"unknown row op {self.kind!r}")
-        if self.kind == "double":
-            if self.source is not None:
-                raise IndexOutOfRange("double takes no source row")
-        elif self.source is None or self.source == self.target:
-            raise IndexOutOfRange("add/sub need a distinct source row")
-
-    def gate(self) -> Gate:
-        if self.kind == "add":
-            return cx(self.source, self.target)
-        if self.kind == "sub":
-            return cx_dag(self.source, self.target)
-        return sigma_x(self.target, "12")
-
-    def inverse(self) -> "RowOp":
-        if self.kind == "add":
-            return RowOp("sub", self.target, self.source)
-        if self.kind == "sub":
-            return RowOp("add", self.target, self.source)
-        return self
-
-
-def _apply_op_array(m: np.ndarray, op: RowOp) -> np.ndarray:
-    n = m.shape[0]
-    if not (0 <= op.target < n) or (op.source is not None and not 0 <= op.source < n):
-        raise IndexOutOfRange(f"row op {op} outside 0..{n - 1}")
-    if op.kind == "add":
-        m[op.target] = (m[op.target] + m[op.source]) % 3
-    elif op.kind == "sub":
-        m[op.target] = (m[op.target] - m[op.source]) % 3
-    else:
-        m[op.target] = (2 * m[op.target]) % 3
-    return m
+    ``rows`` is one trit per qutrit (a list) or one matrix row per qutrit (a
+    2-D array); the same row operation acts on either.
+    """
+    for g in gates:
+        if g.kind == "CX":
+            c, t = g.qutrits
+            rows[t] = (rows[t] + rows[c]) % 3
+        elif g.kind == "CXDag":
+            c, t = g.qutrits
+            rows[t] = (rows[t] - rows[c]) % 3
+        elif g.kind == "SigmaX" and g.subspace == "12":
+            (t,) = g.qutrits
+            rows[t] = (2 * rows[t]) % 3
+        else:
+            raise UnsupportedGate(f"{g.kind} has no parity-map semantics")
 
 
 def parity_map_of_circuit(circuit: Circuit) -> TernaryParityMap:
     """GF(3) matrix whose action on trit-strings matches the circuit."""
     m = np.eye(circuit.num_qutrits, dtype=np.int64)
-    for g in circuit.gates:
-        m = _apply_op_array(m, _gate_row_op(g))
+    _apply_rows(m, circuit.gates)
     return TernaryParityMap(m)
-
-
-def _gate_row_op(g: Gate) -> RowOp:
-    if g.kind == "CX":
-        return RowOp("add", g.qutrits[1], g.qutrits[0])
-    if g.kind == "CXDag":
-        return RowOp("sub", g.qutrits[1], g.qutrits[0])
-    if g.kind == "SigmaX" and g.subspace == "12":
-        return RowOp("double", g.qutrits[0])
-    raise UnsupportedGate(f"{g.kind} has no parity-map semantics")
 
 
 def apply_circuit_to_trits(circuit: Circuit, trits) -> tuple[int, ...]:
@@ -160,18 +128,7 @@ def apply_circuit_to_trits(circuit: Circuit, trits) -> tuple[int, ...]:
     x = list(trits)
     if len(x) != circuit.num_qutrits:
         raise IndexOutOfRange(f"need {circuit.num_qutrits} trits")
-    # dispatch on the gate kind directly: building a RowOp per gate dominated
-    # replay time; anything else still goes through _gate_row_op's checks
-    for g in circuit.gates:
-        if g.kind == "CX":
-            c, t = g.qutrits
-            x[t] = (x[t] + x[c]) % 3
-        elif g.kind == "CXDag":
-            c, t = g.qutrits
-            x[t] = (x[t] - x[c]) % 3
-        else:
-            t = _gate_row_op(g).target
-            x[t] = (2 * x[t]) % 3
+    _apply_rows(x, circuit.gates)
     return tuple(x)
 
 
@@ -282,6 +239,22 @@ def _bfs_paths(neighbors, sources) -> dict:
     return parent
 
 
+def _nearest_path(neighbors, sources, candidates) -> list[int] | None:
+    """BFS path from one of ``sources`` to the nearest of ``candidates`` (ties
+    to the smallest label), source first; None if no candidate is reachable."""
+    parent = _bfs_paths(neighbors, sources)
+    depth = {}
+    for v, p in parent.items():  # BFS insertion order: parents come first
+        depth[v] = 0 if p is None else depth[p] + 1
+    reachable = [(depth[c], c) for c in candidates if c in parent]
+    if not reachable:
+        return None
+    path = [min(reachable)[1]]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
 def steiner_tree(
     topology: Topology, terminals, root: int, allowed=None
 ) -> SteinerTree:
@@ -301,37 +274,16 @@ def steiner_tree(
     def nbrs(v):
         return [u for u in topology.neighbors(v) if u in allowed]
 
-    tree_vertices = {root}
     parent: dict[int, int] = {}
     remaining = set(terminals) - {root}
     while remaining:
-        bfs = _bfs_paths(nbrs, tree_vertices)
-        reachable = sorted(
-            (t for t in remaining if t in bfs),
-            key=lambda t: (_bfs_depth(bfs, t), t),
-        )
-        if not reachable:
+        path = _nearest_path(nbrs, {root, *parent}, remaining)
+        if path is None:
             raise DisconnectedTerminals(f"cannot reach terminals {sorted(remaining)}")
-        target = reachable[0]
-        path = [target]
-        while bfs[path[-1]] is not None:
-            path.append(bfs[path[-1]])
-        # path runs target -> ... -> some tree vertex
-        path.reverse()
-        for a, b in zip(path, path[1:]):
-            if b not in tree_vertices:
-                parent[b] = a
-                tree_vertices.add(b)
-        remaining.discard(target)
+        # path runs from a tree vertex through new vertices to a terminal
+        parent.update(zip(path[1:], path))
+        remaining.discard(path[-1])
     return SteinerTree(root, parent, terminals)
-
-
-def _bfs_depth(parent_map, v) -> int:
-    d = 0
-    while parent_map[v] is not None:
-        v = parent_map[v]
-        d += 1
-    return d
 
 
 def decreasing_steiner_tree(topology: Topology, terminals, root: int) -> SteinerTree:
@@ -372,14 +324,18 @@ def decreasing_steiner_tree(topology: Topology, terminals, root: int) -> Steiner
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    """Reduction circuit plus its row-operation log.
+    """Reduction circuit of a parity map.
 
     ``circuit`` replayed as row operations reduces the input map to the
     identity; ``inverse_circuit(circuit)`` implements the map itself.
     """
 
     circuit: Circuit
-    row_ops: tuple[RowOp, ...]
+
+    @property
+    def row_ops(self) -> tuple[Gate, ...]:
+        """The row-operation log: one operation per reduction gate."""
+        return self.circuit.gates
 
     @property
     def implementing_circuit(self) -> Circuit:
@@ -397,37 +353,33 @@ class _Eliminator:
             n, frozenset((pos[a], pos[b]) for a, b in topology.edges), range(n)
         )
         self.m = matrix[np.ix_(self.perm, self.perm)] % 3
-        self.ops: list[RowOp] = []  # in position space
+        self.gates: list[Gate] = []  # in position space
         self.check_upper = False  # step 2 checks triangularity per operation
 
-    def emit(self, op: RowOp):
-        _apply_op_array(self.m, op)
-        self.ops.append(op)
-        # an op changes only its target row, so only that row can break the form
-        if self.check_upper and self.m[op.target, : op.target].any():
-            raise EliminationFailed(f"triangular form broken by {op}")
+    def emit(self, gate: Gate):
+        _apply_rows(self.m, (gate,))
+        self.gates.append(gate)
+        # a gate changes only its target row, so only that row can break the form
+        t = gate.qutrits[-1]
+        if self.check_upper and self.m[t, :t].any():
+            raise EliminationFailed(f"triangular form broken by {gate}")
 
     # -- step helpers ------------------------------------------------------
 
     def _ensure_pivot(self, col: int, live: set):
         if self.m[col, col] % 3:
             return
-        bfs = _bfs_paths(lambda v: [u for u in self.top.neighbors(v) if u in live], [col])
-        candidates = sorted(
-            (r for r in live if r != col and self.m[r, col] % 3 and r in bfs),
-            key=lambda r: (_bfs_depth(bfs, r), r),
+        path = _nearest_path(
+            lambda v: [u for u in self.top.neighbors(v) if u in live],
+            [col],
+            (r for r in live if r != col and self.m[r, col] % 3),
         )
-        if not candidates:
+        if path is None:
             raise NotInvertible(f"no pivot available for column {col}")
-        target = candidates[0]
-        path = [target]
-        while bfs[path[-1]] is not None:
-            path.append(bfs[path[-1]])
-        path.reverse()  # col ... target
-        # pull the nonzero value up the path toward the pivot row
+        # pull the nonzero value up the path col ... target toward the pivot row
         for a, b in reversed(list(zip(path[:-1], path[1:]))):
             if not self.m[a, col] % 3:
-                self.emit(RowOp("add", a, b))
+                self.emit(cx(b, a))
         if not self.m[col, col] % 3:
             raise NotInvertible(f"pivot fill failed in column {col}")
 
@@ -438,14 +390,14 @@ class _Eliminator:
         for term in terminals:
             path = tree.path_from_root(term)
             interior = path[1:-1]
-            cascade: list[RowOp] = []
+            cascade: list[Gate] = []
             for prev, cur in zip(path, interior):
                 if (self.m[cur, col] + self.m[prev, col]) % 3:
-                    op = RowOp("add", cur, prev)
+                    gate = cx(prev, cur)
                 else:
-                    op = RowOp("sub", cur, prev)
-                self.emit(op)
-                cascade.append(op)
+                    gate = cx_dag(prev, cur)
+                self.emit(gate)
+                cascade.append(gate)
                 if not self.m[cur, col] % 3:
                     raise EliminationFailed(
                         f"cascade lost the running value at row {cur}, column {col}"
@@ -456,11 +408,11 @@ class _Eliminator:
                 raise EliminationFailed(
                     f"zero terminal or pivot entry at rows {term}, {source}, column {col}"
                 )
-            self.emit(RowOp("add" if (e + p) % 3 == 0 else "sub", term, source))
+            self.emit(cx(source, term) if (e + p) % 3 == 0 else cx_dag(source, term))
             if self.m[term, col] % 3:
                 raise EliminationFailed(f"row {term} not cleared in column {col}")
-            for op in reversed(cascade):
-                self.emit(op.inverse())
+            for gate in reversed(cascade):
+                self.emit(*inverse_gate(gate))
 
     # -- the three steps ---------------------------------------------------
 
@@ -487,11 +439,11 @@ class _Eliminator:
     def fix_diagonal(self):
         for row in range(self.n):
             if self.m[row, row] % 3 == 2:
-                self.emit(RowOp("double", row))
+                self.emit(sigma_x(row, "12"))
 
-    def run(self) -> list[RowOp]:
+    def run(self) -> list[Gate]:
         """The three steps, each checked for the form it must leave; returns
-        the row operations in vertex labels."""
+        the gates in vertex labels."""
         self.lower_triangularize()
         if np.tril(self.m, -1).any():
             raise EliminationFailed("step 1 left entries below the diagonal")
@@ -503,8 +455,8 @@ class _Eliminator:
             raise EliminationFailed("step 3 did not reach the identity")
         perm = self.perm
         return [
-            RowOp(op.kind, perm[op.target], None if op.source is None else perm[op.source])
-            for op in self.ops
+            Gate(g.kind, tuple(perm[q] for q in g.qutrits), subspace=g.subspace)
+            for g in self.gates
         ]
 
 
@@ -520,9 +472,8 @@ def steiner_gauss_synthesize(
         raise IndexOutOfRange(
             f"map size {pmap.n} does not match topology size {topology.n}"
         )
-    ops = _Eliminator(np.array(pmap.matrix), topology).run()
-    gates = tuple(op.gate() for op in ops)
-    return SynthesisResult(Circuit(pmap.n, gates), tuple(ops))
+    gates = _Eliminator(np.array(pmap.matrix), topology).run()
+    return SynthesisResult(Circuit(pmap.n, tuple(gates)))
 
 
 # ---------------------------------------------------------------------------
@@ -533,18 +484,18 @@ def naive_swap_baseline_count(pmap: TernaryParityMap, topology: Topology) -> int
     """CX count of all-to-all Gaussian elimination with SWAP-expanded gates.
 
     Runs the same three-step elimination as ``steiner_gauss_synthesize`` on
-    the all-to-all graph, where every Steiner tree is a star on the pivot
-    row, then charges each add/sub operation 6(d-1)+1 CX-type gates, d the
-    topology distance (SWAP chains there and back at 3 CX-type gates per
-    SWAP).  Doubling costs no CX-type gates.
+    the all-to-all graph in the same declared vertex order, where every
+    Steiner tree is a star on the pivot row, then charges each CX/CXDag
+    6(d-1)+1 CX-type gates, d the topology distance (SWAP chains there and
+    back at 3 CX-type gates per SWAP).  SigmaX(12) costs no CX-type gates.
     """
     dist = _all_pairs_distances(topology)
     n = pmap.n
-    complete = Topology(n, frozenset(combinations(range(n), 2)), range(n))
+    complete = Topology(n, frozenset(combinations(range(n), 2)), topology.order)
     total = 0
-    for op in _Eliminator(np.array(pmap.matrix), complete).run():
-        if op.source is not None:
-            d = dist[op.source][op.target]
+    for g in _Eliminator(np.array(pmap.matrix), complete).run():
+        if g.is_cx_kind:
+            d = dist[g.qutrits[0]][g.qutrits[1]]
             total += 1 if d == 1 else 6 * (d - 1) + 1
     return total
 
@@ -603,8 +554,13 @@ def topology_from_dict(d: dict) -> Topology:
     return Topology(n, edges, order)
 
 
-def row_op_to_dict(op: RowOp) -> dict:
-    d = {"kind": op.kind, "target": op.target}
-    if op.source is not None:
-        d["source"] = op.source
+_ROW_OP_KINDS = {"CX": "add", "CXDag": "sub", "SigmaX": "double"}
+
+
+def row_op_to_dict(g: Gate) -> dict:
+    """One reduction gate as a log entry: add/sub row ``source`` to row
+    ``target``, or double row ``target``."""
+    d = {"kind": _ROW_OP_KINDS[g.kind], "target": g.qutrits[-1]}
+    if g.is_cx_kind:
+        d["source"] = g.qutrits[0]
     return d

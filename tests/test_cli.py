@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from tritcirc import routing
 from tritcirc.cli import main
-from tritcirc.gates import dump_json, load_json
+from tritcirc.gates import Circuit, dump_json, load_json
 from tritcirc.routing import (
     grid_topology_3x3,
     parity_map_to_dict,
@@ -272,3 +274,72 @@ def test_malformed_circuit_or_graph_exits_1_with_json(tmp_path, capsys, name):
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "TritcircError"
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+# a JSON number too large for a float reads as infinity, which int() rejects
+# with OverflowError; "1e999" is written as literal text
+TOO_LARGE_INPUTS = {
+    "verify-circuit": ('{"n": 1e999, "gates": []}', "verify"),
+    "qaoa-graph": ('{"nodes": 1e999, "edges": []}', "qaoa"),
+    "route-parity": ('{"n": 1e999, "rows": [[1]]}', "route"),
+    "route-topology": ('{"n": 1e999, "edges": [], "order": [0]}', "route"),
+    "decompose-generator": (
+        '{"type": "gellmann", "indices": [3, 1e999], "theta": 1}', "decompose"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOO_LARGE_INPUTS))
+def test_number_too_large_for_an_int_exits_1_with_json(tmp_path, capsys, name):
+    text, command = TOO_LARGE_INPUTS[name]
+    bad = tmp_path / "input.json"
+    bad.write_text(text)
+    good = {"parity": {"n": 1, "rows": [[1]]},
+            "topology": {"n": 1, "edges": [], "order": [0]},
+            "generator": {"type": "gellmann", "indices": [3, 8], "theta": 0.5}}
+    for key, value in good.items():
+        dump_json(value, str(tmp_path / f"{key}.json"))
+    out = str(tmp_path / "out.json")
+    if command == "verify":
+        argv = ["verify", "--circuit", str(bad),
+                "--generator", str(tmp_path / "generator.json")]
+    elif command == "qaoa":
+        argv = ["qaoa", "--graph", str(bad), "--k", "3", "--gammas", "0.1",
+                "--betas", "0.2", "--out", out]
+    elif command == "decompose":
+        argv = ["decompose", "--generator", str(bad), "--out", out]
+    else:
+        files = {"parity": str(tmp_path / "parity.json"),
+                 "topology": str(tmp_path / "topology.json")}
+        files[name.split("-")[1]] = str(bad)
+        argv = ["route", "--parity", files["parity"], "--topology", files["topology"],
+                "--out", out]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "OverflowError"
+    assert "Traceback" not in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_route_rejects_a_circuit_missing_one_gate(tmp_path, capsys, monkeypatch):
+    synthesize = routing.steiner_gauss_synthesize
+
+    def drop_first_gate(pmap, topology):
+        circuit = synthesize(pmap, topology).circuit
+        return routing.SynthesisResult(Circuit(circuit.num_qutrits, circuit.gates[1:]))
+
+    monkeypatch.setattr(routing, "steiner_gauss_synthesize", drop_first_gate)
+    pmap = random_invertible_parity_map(9, np.random.default_rng(4242))
+    pfile, tfile = tmp_path / "P.json", tmp_path / "grid.json"
+    dump_json(parity_map_to_dict(pmap), str(pfile))
+    dump_json(topology_to_dict(grid_topology_3x3()), str(tfile))
+    code = main(["route", "--parity", str(pfile), "--topology", str(tfile)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.err)["error"] == "TritcircError"
+    match = re.match(r"OK (\d+)/9 basis vectors", captured.out)
+    assert match and int(match.group(1)) < 9
