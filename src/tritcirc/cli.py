@@ -20,8 +20,8 @@ from .gates import (
     Circuit,
     _json_object,
     circuit_from_dict,
-    circuit_to_dict,
-    dump_json,
+    dump_gate_records,
+    gate_to_dict,
     load_json,
 )
 from .sim import circuit_diagonal, diagonal_distance
@@ -92,10 +92,14 @@ def _exact_generator_phases(op, theta: float) -> np.ndarray:
     return np.exp(-1j * (theta / 2.0) * weyl.weyl_string_diagonal(op))
 
 
+def _dump_circuit(circuit: Circuit, path: str) -> None:  # circuit_to_dict's JSON
+    dump_gate_records(path, "gates", circuit.gates, gate_to_dict, n=circuit.num_qutrits)
+
+
 def _cmd_decompose(args) -> int:
     circuit = _compile_generator(*_parse_generator(_generator_from_args(args)))
     if args.out:
-        dump_json(circuit_to_dict(circuit), args.out)
+        _dump_circuit(circuit, args.out)
     counts = count_gates(circuit)
     summary = {
         "cx_count": counts.cx_count,
@@ -132,7 +136,7 @@ def _cmd_qaoa(args) -> int:
     )
     circuit = qaoa.build_qaoa_circuit(problem, spec)
     if args.out:
-        dump_json(circuit_to_dict(circuit), args.out)
+        _dump_circuit(circuit, args.out)
     counts = count_gates(circuit)
     print(json.dumps({
         "num_qutrits": circuit.num_qutrits,
@@ -149,26 +153,26 @@ def _cmd_route(args) -> int:
     topology = routing.topology_from_dict(load_json(args.topology))
     result = routing.steiner_gauss_synthesize(pmap, topology)
     implementing = result.implementing_circuit
-    if args.out:
-        dump_json(circuit_to_dict(implementing), args.out)
-        dump_json(
-            {"row_ops": [routing.row_op_to_dict(op) for op in result.row_ops]},
-            args.log or args.out + ".rowops.json",
-        )
     # every gate of the circuit is GF(3)-linear, so its replayed matrix gives
     # the image of each basis vector (a column) and of each random sample
     n = pmap.n
-    replayed = routing.parity_map_of_circuit(implementing).matrix
+    replayed = np.eye(n, dtype=np.int64)
+    routing._apply_rows(replayed, implementing.gates)
     ok = np.all(replayed == pmap.matrix, axis=0).sum()
     rng = np.random.default_rng(args.seed)
     samples = [rng.integers(0, 3, size=n) for _ in range(args.samples)]
     sample_ok = sum(
         np.array_equal(replayed @ x % 3, pmap.matrix @ x % 3) for x in samples
     )
+    failed = ok != n or sample_ok != args.samples
+    if args.out and not failed:
+        _dump_circuit(implementing, args.out)
+        dump_gate_records(args.log or args.out + ".rowops.json", "row_ops",
+                          result.row_ops, routing.row_op_to_dict)
     counts = count_gates(implementing)
     print(f"OK {ok}/{n} basis vectors, {sample_ok}/{args.samples} random samples; "
           f"cx_count {counts.cx_count}")
-    if ok != n or sample_ok != args.samples:
+    if failed:
         raise TritcircError("synthesized circuit does not reproduce the parity map")
     return 0
 

@@ -19,6 +19,8 @@ kind         meaning                     extra fields
 ===========  ==========================  ====================
 
 Circuits list gates in temporal order: the first gate acts first on states.
+JSON files hold ``json.dumps(payload, sort_keys=True, indent=2)`` plus a
+newline; circuit files and row-operation logs encode each distinct gate once.
 """
 
 from __future__ import annotations
@@ -145,11 +147,24 @@ def inverse_gate(g: Gate) -> list[Gate]:
     return [g, g, g]  # H
 
 
+def _map_distinct(f, gates) -> list:
+    """``[f(g) for g in gates]``, calling ``f`` once per distinct gate.  Gate
+    equality cannot tell angle 0.0 from -0.0 (or 1 from 1.0), so the key holds
+    the angle's ``repr``; a tuple key also hashes faster than a ``Gate``."""
+    memo: dict = {}
+    out = []
+    for g in gates:
+        key = (g.kind, g.qutrits, g.subspace, repr(g.angle))
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = f(g)
+        out.append(value)
+    return out
+
+
 def inverse_circuit(c: Circuit) -> Circuit:
-    gates: list[Gate] = []
-    for g in reversed(c.gates):
-        gates.extend(inverse_gate(g))
-    return Circuit(c.num_qutrits, tuple(gates))
+    inverses = _map_distinct(inverse_gate, reversed(c.gates))
+    return Circuit(c.num_qutrits, tuple(h for inverse in inverses for h in inverse))
 
 
 def gate_to_dict(g: Gate) -> dict:
@@ -182,9 +197,28 @@ def circuit_from_dict(d: dict) -> Circuit:
         raise TritcircError(f"malformed circuit: {exc}") from None
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
+
+
 def dump_json(payload, path: str) -> None:
     """Atomically write ``payload`` as canonical JSON (temp file + rename)."""
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    _write_text(_ENCODER.encode(payload) + "\n", path)
+
+
+def dump_gate_records(path: str, key: str, gates, to_dict, **fields) -> None:
+    """Write ``{key: [to_dict(g) for g in gates], **fields}`` with the bytes of
+    :func:`dump_json`, encoding each distinct gate once.  A record sits two
+    levels deep: four more spaces after each newline (none is inside a string)."""
+    records = _map_distinct(
+        lambda g: _ENCODER.encode(to_dict(g)).replace("\n", "\n    "), gates
+    )
+    values = {k: _ENCODER.encode(v).replace("\n", "\n  ") for k, v in fields.items()}
+    values[key] = "[\n    " + ",\n    ".join(records) + "\n  ]" if records else "[]"
+    members = (f"{_ENCODER.encode(k)}: {values[k]}" for k in sorted(values))
+    _write_text("{\n  " + ",\n  ".join(members) + "\n}\n", path)
+
+
+def _write_text(text: str, path: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
     try:

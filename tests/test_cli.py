@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -343,3 +344,59 @@ def test_route_rejects_a_circuit_missing_one_gate(tmp_path, capsys, monkeypatch)
     assert json.loads(captured.err)["error"] == "TritcircError"
     match = re.match(r"OK (\d+)/9 basis vectors", captured.out)
     assert match and int(match.group(1)) < 9
+
+    out = tmp_path / "r.json"
+    code = main(["route", "--parity", str(pfile), "--topology", str(tfile),
+                 "--out", str(out)])
+    capsys.readouterr()
+    assert code == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["P.json", "grid.json"]
+
+
+# sha256 of the --out file and stdout of `tritcirc decompose` and `tritcirc
+# qaoa`; the values were taken before the circuit writer encoded each
+# distinct gate once.  The --theta 0 circuit holds both 0.0 and -0.0 angles.
+RING_4 = {"nodes": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}
+QAOA_2_LAYERS = ["--gammas", "0.4,0.2", "--betas", "0.3,0.1"]
+COMPILE_OUTPUT_PINS = {
+    "gellmann-weight-6": (
+        ["decompose", "--gellmann", "3,8,8,3,8,3", "--theta", "0.7"], (
+            "773934e364609acf5ad82611d06f07fe7adb8fee04f34da40cbf7f0997b1bb5d",
+            "3caa9cfafdf56432bd7b9cb9d1e7257e2a590c259813ee10a2729ca09d54d1c0",
+        )),
+    "weyl-complex-c": (
+        ["decompose", "--weyl-s", "2,1,2", "--weyl-c-re", "0.3",
+         "--weyl-c-im", "-0.7", "--theta", "0.9"], (
+            "9d99285cb18fdec1de80966ed633be5bb3ed08bacddfa65597d525cfc24b57a2",
+            "7627b9e4d847c9912c0e9e499f601d543613a383d60a9e5895f1eaf44a18cc0c",
+        )),
+    "gellmann-signed-zero": (
+        ["decompose", "--gellmann", "3,8,3", "--theta", "0"], (
+            "6fe7b040644b0dd618d0fff0a7f55a76f48a92ef6d0f983e12ff280f4b8b3eb3",
+            "8e601531b851d6ae31043b3d7425fc3633c50ae4988aa0f20eb0ca69b57817c0",
+        )),
+    "qaoa-k3-2-layers": (["qaoa", "--k", "3", *QAOA_2_LAYERS], (
+        "3d1621c9a11c1ca70ee55b3493dbcaab7ec03a7f275e1314bad55afdc37bee48",
+        "eaa64b79890c1a21e8db324c5d0f106b93a17a4b1985c48668db1321556916f9",
+    )),
+    "qaoa-k27-2-layers": (["qaoa", "--k", "27", *QAOA_2_LAYERS], (
+        "fadafc027ed52ae675c5166415723ec35b27185d480d0d70c9e697435e11d37a",
+        "301881a1463f75f26467383af826eac17f0d801437f28c94b959da221cb540c7",
+    )),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPILE_OUTPUT_PINS))
+def test_compile_output_is_pinned(tmp_path, capsys, name):
+    argv, expected = COMPILE_OUTPUT_PINS[name]
+    if argv[0] == "qaoa":
+        dump_json(RING_4, str(tmp_path / "graph.json"))
+        argv = [*argv, "--graph", str(tmp_path / "graph.json")]
+    out = tmp_path / "circuit.json"
+    code = main([*argv, "--out", str(out)])
+    stdout = capsys.readouterr().out
+    assert code == 0
+    digests = tuple(
+        hashlib.sha256(data).hexdigest() for data in (out.read_bytes(), stdout.encode())
+    )
+    assert digests == expected

@@ -1,9 +1,17 @@
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tritcirc.errors import InvalidCircuit, InvalidGate
 from tritcirc.gates import (
+    ROTATION_KINDS,
+    SINGLE_QUTRIT_KINDS,
+    SUBSPACES,
+    TWO_QUTRIT_KINDS,
     Circuit,
     Gate,
     circuit_from_dict,
@@ -11,10 +19,15 @@ from tritcirc.gates import (
     cx,
     cx_dag,
     cx_pow,
+    dump_gate_records,
+    dump_json,
+    gate_to_dict,
     inverse_circuit,
+    inverse_gate,
     rot_z,
     sigma_x,
 )
+from tritcirc.routing import row_op_to_dict
 
 
 def test_two_qutrit_gates_need_distinct_wires():
@@ -78,3 +91,68 @@ def test_inverse_circuit_round_trip_unitary():
     u = circuit_unitary(c)
     v = circuit_unitary(inverse_circuit(c))
     assert np.allclose(v @ u, np.eye(9), atol=1e-12)
+
+
+ANGLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 0.1 + 0.2, -(0.1 + 0.2)]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def gates_on(draw, n: int):
+    kinds = SINGLE_QUTRIT_KINDS | (TWO_QUTRIT_KINDS if n > 1 else frozenset())
+    kind = draw(st.sampled_from(sorted(kinds)))
+    arity = 2 if kind in TWO_QUTRIT_KINDS else 1
+    qutrits = draw(st.lists(st.integers(0, n - 1), min_size=arity, max_size=arity,
+                            unique=True))
+    subspace = (draw(st.sampled_from(SUBSPACES))
+                if kind in ROTATION_KINDS or kind == "SigmaX" else None)
+    angle = draw(ANGLES) if kind in ROTATION_KINDS else None
+    return Gate(kind, tuple(qutrits), subspace=subspace, angle=angle)
+
+
+@st.composite
+def circuits(draw):
+    """Circuits on 0-5 qutrits, the empty one included, that repeat each of
+    a few distinct gates, 0.0 next to -0.0 among them."""
+    n = draw(st.integers(0, 5))
+    pool = draw(st.lists(gates_on(n), max_size=8)) if n else []
+    # a rotation's twin with the negated angle equals it when the angle is 0
+    pool += [Gate(g.kind, g.qutrits, g.subspace, -g.angle) for g in pool
+             if g.angle is not None]
+    repeats = draw(st.lists(st.sampled_from(pool), max_size=30)) if pool else []
+    return Circuit(n, tuple(draw(st.permutations(pool + repeats))))
+
+
+def _written(write) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.json")
+        write(path)
+        with open(path, "rb") as handle:
+            return handle.read()
+
+
+@given(circuits())
+def test_gate_records_writer_matches_dump_json(c):
+    assert _written(lambda path: dump_gate_records(
+        path, "gates", c.gates, gate_to_dict, n=c.num_qutrits
+    )) == _written(lambda path: dump_json(circuit_to_dict(c), path))
+
+
+@given(circuits())
+def test_row_op_records_match_dump_json(c):
+    ops = [g for g in c.gates if g.kind in ("CX", "CXDag", "SigmaX")]
+    assert _written(lambda path: dump_gate_records(
+        path, "row_ops", ops, row_op_to_dict
+    )) == _written(lambda path: dump_json(
+        {"row_ops": [row_op_to_dict(g) for g in ops]}, path
+    ))
+
+
+@given(circuits())
+def test_inverse_circuit_inverts_gate_by_gate_with_angle_signs(c):
+    expected = [h for g in reversed(c.gates) for h in inverse_gate(g)]
+    got = inverse_circuit(c).gates
+    assert got == tuple(expected)
+    assert [repr(g.angle) for g in got] == [repr(g.angle) for g in expected]
