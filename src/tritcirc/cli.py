@@ -8,7 +8,9 @@ codes: 0 success, 1 domain error (JSON diagnostics on stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import sys
 
 import numpy as np
@@ -18,6 +20,7 @@ from .decompose import count_gates, decompose_gellmann, decompose_weyl
 from .errors import TritcircError
 from .gates import (
     Circuit,
+    _json_int,
     _json_object,
     circuit_from_dict,
     dump_gate_records,
@@ -61,7 +64,9 @@ def _parse_generator(gen) -> tuple[weyl.GellMannString | weyl.WeylZString, float
     """The string operator and angle a generator dict names.
 
     JSON values of the wrong type (a top-level list, ``"indices": 3``,
-    ``"c": 1``) raise ``TritcircError`` like every other malformed input.
+    ``"c": 1``), a fractional or boolean index or exponent, and a theta or c
+    that is not finite raise ``TritcircError`` like every other malformed
+    input.
     """
     if not isinstance(gen, dict):
         raise TritcircError(
@@ -70,13 +75,19 @@ def _parse_generator(gen) -> tuple[weyl.GellMannString | weyl.WeylZString, float
     try:
         theta = float(gen["theta"])
         if gen["type"] == "gellmann":
-            return weyl.GellMannString(tuple(gen["indices"])), theta
-        if gen["type"] == "weyl":
+            op = weyl.GellMannString(tuple(_json_int(i, "indices") for i in gen["indices"]))
+        elif gen["type"] == "weyl":
             c = complex(gen["c"]["re"], gen["c"].get("im", 0.0))
-            return weyl.WeylZString(c, tuple(gen["s"])), theta
+            op = weyl.WeylZString(c, tuple(_json_int(e, "s") for e in gen["s"]))
+        else:
+            raise TritcircError(f"unknown generator type {gen.get('type')!r}")
     except TypeError as exc:
         raise TritcircError(f"malformed generator: {exc}") from None
-    raise TritcircError(f"unknown generator type {gen.get('type')!r}")
+    if not math.isfinite(theta):
+        raise TritcircError(f"malformed generator: theta must be finite, got {theta}")
+    if isinstance(op, weyl.WeylZString) and not cmath.isfinite(op.c):
+        raise TritcircError(f"malformed generator: c must be finite, got {op.c}")
+    return op, theta
 
 
 def _compile_generator(op, theta: float) -> Circuit:
@@ -127,8 +138,8 @@ def _cmd_verify(args) -> int:
 def _cmd_qaoa(args) -> int:
     graph = _json_object(load_json(args.graph), "graph")
     try:
-        edges = tuple(tuple(e) for e in graph["edges"])
-        problem = qaoa.ColoringProblem(int(graph["nodes"]), edges, args.k)
+        edges = tuple(tuple(_json_int(v, "edges") for v in e) for e in graph["edges"])
+        problem = qaoa.ColoringProblem(_json_int(graph["nodes"], "nodes"), edges, args.k)
     except TypeError as exc:
         raise TritcircError(f"malformed graph: {exc}") from None
     spec = qaoa.QaoaLayerSpec(

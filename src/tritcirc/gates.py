@@ -179,7 +179,7 @@ def gate_to_dict(g: Gate) -> dict:
 def gate_from_dict(d: dict) -> Gate:
     return Gate(
         d["kind"],
-        tuple(int(q) for q in d["qutrits"]),
+        tuple(_json_int(q, "qutrits") for q in d["qutrits"]),
         subspace=d.get("subspace"),
         angle=float(d["angle"]) if "angle" in d else None,
     )
@@ -192,7 +192,7 @@ def circuit_to_dict(c: Circuit) -> dict:
 def circuit_from_dict(d: dict) -> Circuit:
     d = _json_object(d, "circuit")
     try:
-        return Circuit(int(d["n"]), tuple(gate_from_dict(g) for g in d["gates"]))
+        return Circuit(_json_int(d["n"], "n"), tuple(gate_from_dict(g) for g in d["gates"]))
     except TypeError as exc:
         raise TritcircError(f"malformed circuit: {exc}") from None
 
@@ -240,3 +240,12 @@ def _json_object(d, what: str) -> dict:
     if not isinstance(d, dict):
         raise TritcircError(f"{what} must be a JSON object, got {type(d).__name__}")
     return d
+
+
+def _json_int(value, what: str) -> int:
+    """``int(value)`` for a JSON integer, or a float or string that spells one.
+    A boolean or a fractional number raises instead of being truncated."""
+    number = int(value)
+    if isinstance(value, bool) or (isinstance(value, float) and number != value):
+        raise TritcircError(f"{what} must hold integers, got {value!r}")
+    return number

@@ -13,6 +13,7 @@ exp(-i * gamma/2 * H).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 
 import numpy as np
@@ -239,6 +240,15 @@ def basis_cost_values(problem: ColoringProblem) -> np.ndarray:
     return values
 
 
+@cache
+def _edge_cost_table(k: int) -> np.ndarray:
+    """``basis_cost_values`` of a single edge (0, 1), built once per k and
+    shared read-only."""
+    table = basis_cost_values(ColoringProblem(2, ((0, 1),), k))
+    table.flags.writeable = False
+    return table
+
+
 def cost_expectation(state: np.ndarray, problem: ColoringProblem) -> float:
     """<state| H_C |state>, edge by edge: the probability marginal of the
     edge's two nodes dotted with the cost table of a single edge."""
@@ -249,7 +259,7 @@ def cost_expectation(state: np.ndarray, problem: ColoringProblem) -> float:
         )
     probs = np.abs(state) ** 2
     k, nodes = problem.k, problem.num_nodes
-    edge_table = basis_cost_values(ColoringProblem(2, ((0, 1),), k))
+    edge_table = _edge_cost_table(k)
     total = 0.0
     for v, w in problem.edges:
         # Each node's m qutrits form one base-k digit; v < w, so the kept

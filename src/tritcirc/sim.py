@@ -2,7 +2,7 @@
 
 This is the verification oracle used throughout the package.  Three views:
 
-- ``apply_circuit`` runs a statevector through gate-local updates, so no
+- ``apply_circuit`` runs a statevector through the circuit, so no
   full-circuit matrix is formed and expectation values stay cheap well past
   the dense-unitary cap of eight qutrits.
 - ``monomial_action`` handles circuits built only from X, X2, Z, Z2, RotZ,
@@ -12,6 +12,16 @@ This is the verification oracle used throughout the package.  Three views:
   O(9^N) of a dense matrix.
 - ``circuit_unitary`` builds the dense 3^N x 3^N matrix.  It handles every
   gate, H and RotX included, and is the reference the tests compare with.
+
+``apply_circuit`` and ``circuit_unitary`` share one kernel, which treats
+each gate by its class.  Z, Z2 and RotZ multiply the array in place along
+their qutrit's axis; consecutive ones on a wire multiply once, and wait
+through a CX that has the wire as control, since they commute with it.  CX
+and CXDag cyclically shift the target's axis inside the control = 1 and
+control = 2 slices.  The other single-qutrit gates (H, RotX, X, X2, SigmaX)
+on one wire, with any diagonal gates between them, become one 3x3 product,
+applied by ``tensordot`` when a CX needs the wire or the circuit ends.
+Every gate of the circuit is simulated; nothing is read off a closed form.
 
 ``circuit_diagonal`` picks the monomial view whenever every gate allows it
 and the dense one otherwise; ``tritcirc verify`` compares diagonals through
@@ -101,22 +111,64 @@ def gate_unitary(g: Gate) -> np.ndarray:
     return m
 
 
-def _apply_gate_tensor(arr: np.ndarray, g: Gate, n: int) -> np.ndarray:
-    """Apply ``g`` to axis-factored ``arr`` whose first n axes are qutrits."""
-    u = gate_unitary(g)
-    if len(g.qutrits) == 1:
-        (q,) = g.qutrits
-        arr = np.tensordot(u, arr, axes=([1], [q]))
-        return np.moveaxis(arr, 0, q)
-    ctrl, tgt = g.qutrits
-    u4 = u.reshape(3, 3, 3, 3)  # [c', t', c, t]
-    arr = np.tensordot(u4, arr, axes=([2, 3], [ctrl, tgt]))
-    return np.moveaxis(arr, (0, 1), (ctrl, tgt))
+def _apply_gates(arr: np.ndarray, gates) -> np.ndarray:
+    """Apply ``gates`` in temporal order to ``arr``, whose leading axes are
+    the qutrits; trailing axes ride along.  ``arr`` is overwritten.
+
+    The single-qutrit gates on a wire form a run, the product of their 3x3
+    matrices, applied once: when a CX needs the wire, or after the last gate.
+    A diagonal run (Z, Z2, RotZ) multiplies in place along its axis, and as
+    it commutes with a CX on its control it waits through one.  CX and CXDag
+    cycle the target axis inside the control = 1 and control = 2 slices, in
+    place: CX^p maps |c, t> to |c, t + p c>.
+    """
+    runs: dict[int, np.ndarray] = {}
+    for g in gates:
+        if len(g.qutrits) == 1:
+            (q,) = g.qutrits
+            u = gate_unitary(g)
+            runs[q] = u @ runs[q] if q in runs else u
+            continue
+        ctrl, tgt = g.qutrits
+        for q in (ctrl, tgt):
+            if q in runs and (q == tgt or not _is_diagonal(runs[q])):
+                arr = _apply_run(arr, runs.pop(q), q)
+        power = 1 if g.kind == "CX" else 2
+        for c in (1, 2):
+            _cycle(arr[(slice(None),) * ctrl + (c,)], tgt - (tgt > ctrl), power * c % 3)
+    for q, u in runs.items():
+        arr = _apply_run(arr, u, q)
+    return arr
+
+
+def _is_diagonal(u: np.ndarray) -> bool:
+    return not np.any(u - np.diag(np.diagonal(u)))
+
+
+def _apply_run(arr: np.ndarray, u: np.ndarray, q: int) -> np.ndarray:
+    """Apply the 3x3 matrix ``u`` to qutrit axis ``q`` of ``arr``: in place if
+    ``u`` is diagonal, else by ``tensordot``."""
+    if _is_diagonal(u):
+        arr *= np.diagonal(u).reshape((3,) + (1,) * (arr.ndim - q - 1))
+        return arr
+    return np.moveaxis(np.tensordot(u, arr, axes=([1], [q])), 0, q)
+
+
+def _cycle(view: np.ndarray, axis: int, shift: int) -> None:
+    """``view[..., t, ...] = view[..., t - shift, ...]`` along ``axis``, in
+    place: a three-cycle of the slices, one of them held in a copy."""
+    s = [view[(slice(None),) * axis + (t, ...)] for t in range(3)]
+    first, second, third = 0, -shift % 3, -2 * shift % 3
+    held = s[first].copy()
+    s[first][...] = s[second]
+    s[second][...] = s[third]
+    s[third][...] = held
 
 
 def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
-    """Run ``circuit`` on a statevector via per-gate local updates."""
-    state = np.asarray(state, dtype=complex)
+    """Run ``circuit`` on a statevector through ``_apply_gates``; ``state``
+    is copied once and never written."""
+    state = np.array(state, dtype=complex)
     n = circuit.num_qutrits
     if state.shape != (3**n,):
         raise DimensionMismatch(
@@ -126,9 +178,7 @@ def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
     if abs(norm - 1.0) > 1e-10:
         raise DimensionMismatch(f"state norm {norm} is not 1 within 1e-10")
     arr = state.reshape((3,) * n) if n else state
-    for g in circuit.gates:
-        arr = _apply_gate_tensor(arr, g, n)
-    out = arr.reshape(3**n)
+    out = _apply_gates(arr, circuit.gates).reshape(3**n)
     out.flags.writeable = False
     return out
 
@@ -140,9 +190,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
         raise DimensionCap(f"dense unitaries capped at {MAX_DENSE_QUTRITS} qutrits")
     dim = 3**n
     arr = np.eye(dim, dtype=complex).reshape((3,) * n + (dim,))
-    for g in circuit.gates:
-        arr = _apply_gate_tensor(arr, g, n)
-    u = arr.reshape(dim, dim)
+    u = _apply_gates(arr, circuit.gates).reshape(dim, dim)
     _check_unitary(u)
     u.flags.writeable = False
     return u

@@ -189,6 +189,17 @@ MALFORMED_GENERATORS = {
     "indices-not-a-list": {"type": "gellmann", "indices": 3, "theta": 0.5},
     "top-level-list": [3, 3, 8],
     "c-not-an-object": {"type": "weyl", "c": 1, "s": [2, 1], "theta": 0.5},
+    # no silent truncation: 8.5 would read as 8, 2.5 as 2 and true as 1
+    "indices-fractional": {"type": "gellmann", "indices": [3, 8.5], "theta": 0.5},
+    "indices-boolean": {"type": "gellmann", "indices": [3, True], "theta": 0.5},
+    "s-fractional": {"type": "weyl", "c": {"re": 1.0}, "s": [1, 2.5], "theta": 0.5},
+    "s-boolean": {"type": "weyl", "c": {"re": 1.0}, "s": [True, 2], "theta": 0.5},
+    # non-finite numbers; dump_json writes NaN and Infinity as bare literals
+    "theta-inf-string": {"type": "gellmann", "indices": [3, 8], "theta": "inf"},
+    "theta-nan-string": {"type": "weyl", "c": {"re": 1.0}, "s": [2], "theta": "nan"},
+    "theta-nan-literal": {"type": "gellmann", "indices": [3, 8], "theta": float("nan")},
+    "c-infinite": {"type": "weyl", "c": {"re": float("inf")}, "s": [2, 1], "theta": 0.5},
+    "c-nan": {"type": "weyl", "c": {"re": 1.0, "im": float("nan")}, "s": [1], "theta": 0.5},
 }
 
 
@@ -207,9 +218,28 @@ def test_malformed_generator_exits_1_with_json(tmp_path, capsys, command, name):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert json.loads(captured.err)["error"] == "TritcircError"
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "TritcircError"
     if command == "decompose":
         assert not circuit.exists()
+
+
+def test_integral_floats_read_as_integers(tmp_path, capsys):
+    outputs = []
+    for number in (int, float):
+        work = tmp_path / number.__name__
+        work.mkdir()
+        generator = {"type": "weyl", "c": {"re": 0.3, "im": -0.7},
+                     "s": [number(2), number(1)], "theta": 0.9}
+        gen, out = _decompose_to_files(work, capsys, generator)
+        circuit = work / "cx.json"
+        dump_json({"n": number(3), "gates": [
+            {"kind": "CX", "qutrits": [number(0), number(2)]}]}, str(circuit))
+        verified = _verify(capsys, out, gen), _verify(capsys, circuit, gen)
+        outputs.append((out.read_bytes(), verified))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1][0][0] == 0
 
 
 def test_verify_rejects_gellmann_indices_outside_3_and_8(tmp_path, capsys):
@@ -251,6 +281,15 @@ MALFORMED_CIRCUIT_AND_GRAPH = {
         "verify", {"n": 2, "gates": [{"kind": "CX", "qutrits": 5}]}),
     "circuit-top-level-list": ("verify", [1, 2]),
     "graph-edges-not-a-list": ("qaoa", {"nodes": 3, "edges": 4}),
+    # no silent truncation: 2.5 would read as 2, 1.7 as 1 and true as 1
+    "circuit-n-fractional": ("verify", {"n": 2.5, "gates": []}),
+    "circuit-n-boolean": ("verify", {"n": True, "gates": []}),
+    "circuit-qutrits-fractional": (
+        "verify", {"n": 2, "gates": [{"kind": "CX", "qutrits": [0, 1.7]}]}),
+    "circuit-qutrits-boolean": (
+        "verify", {"n": 2, "gates": [{"kind": "CX", "qutrits": [0, True]}]}),
+    "graph-nodes-fractional": ("qaoa", {"nodes": 3.7, "edges": [[0, 1]]}),
+    "graph-edge-fractional": ("qaoa", {"nodes": 3, "edges": [[0, 1.5]]}),
 }
 
 

@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import tritcirc.qaoa as qaoa
 from tritcirc.decompose import count_gates
 from tritcirc.errors import DimensionMismatch, UnsupportedK
 from tritcirc.qaoa import (
@@ -165,6 +166,25 @@ def test_cost_expectation_matches_full_cost_diagonal(k, nodes, edges):
     state /= np.linalg.norm(state)
     full = np.dot(np.abs(state) ** 2, basis_cost_values(problem))
     assert abs(cost_expectation(state, problem) - full) < 1e-12
+
+
+def test_cost_expectation_builds_each_edge_table_once(monkeypatch):
+    real = qaoa.basis_cost_values
+    built = []
+    monkeypatch.setattr(qaoa, "basis_cost_values", lambda p: built.append(p.k) or real(p))
+    qaoa._edge_cost_table.cache_clear()
+    try:
+        for k, nodes in ((3, 4), (9, 3), (3, 5), (9, 2), (3, 4)):
+            problem = ColoringProblem(nodes, tuple((v, v + 1) for v in range(nodes - 1)), k)
+            cost_expectation(basis_state(problem.num_qutrits, [0] * problem.num_qutrits),
+                             problem)
+        assert built == [3, 9]
+        for k in (3, 9):
+            table = qaoa._edge_cost_table(k)
+            assert not table.flags.writeable
+            assert table.tobytes() == real(ColoringProblem(2, ((0, 1),), k)).tobytes()
+    finally:
+        qaoa._edge_cost_table.cache_clear()
 
 
 def test_cost_separation_per_violated_edge():

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import tritcirc.sim as sim
 from tritcirc.errors import DimensionCap, DimensionMismatch, NotMonomial
 from tritcirc.gates import (
     MONOMIAL_KINDS,
+    SINGLE_QUTRIT_KINDS,
     SUBSPACES,
+    TWO_QUTRIT_KINDS,
     Circuit,
     Gate,
     cx,
@@ -142,6 +144,106 @@ def test_apply_matches_unitary_on_random_circuits():
         direct = apply_circuit(state, c)
         viaU = circuit_unitary(c) @ state
         assert np.max(np.abs(direct - viaU)) < 1e-10
+
+
+def _oracle_gate_matrix(g, n):
+    """The full 3^n x 3^n matrix of one gate, entry by entry from
+    ``gate_unitary``: column x has its nonzeros in the rows y that agree with
+    x outside the gate's trits (qutrit 0 is the leading trit of an index, and
+    a two-qutrit gate's local index is 3 * control + target)."""
+    u = gate_unitary(g)
+    dim = 3**n
+    x = np.arange(dim)
+    places = [3 ** (n - 1 - q) for q in g.qutrits]
+    trits = [x // p % 3 for p in places]
+    rest = x - sum(t * p for t, p in zip(trits, places))
+    local_in = trits[0] if len(places) == 1 else 3 * trits[0] + trits[1]
+    m = np.zeros((dim, dim), dtype=complex)
+    for local_out in range(u.shape[0]):
+        out_trits = (local_out,) if len(places) == 1 else divmod(local_out, 3)
+        y = rest + sum(t * p for t, p in zip(out_trits, places))
+        m[y, x] = u[local_out, local_in]
+    return m
+
+
+def _oracle_apply(circuit, columns):
+    for g in circuit.gates:
+        columns = _oracle_gate_matrix(g, circuit.num_qutrits) @ columns
+    return columns
+
+
+@st.composite
+def any_circuits(draw):
+    """Circuits of 0-6 qutrits over all ten gate kinds.  Wires are drawn
+    from a few per circuit, so single-qutrit runs on one wire are often
+    broken by a CX on it."""
+    n = draw(st.integers(0, 6))
+    if n == 0:
+        return Circuit(0)
+    wires = draw(st.lists(st.integers(0, n - 1), min_size=min(n, 2), max_size=3,
+                          unique=True))
+    kinds = sorted(SINGLE_QUTRIT_KINDS | (TWO_QUTRIT_KINDS if n >= 2 else set()))
+    gates = []
+    for _ in range(draw(st.integers(0, 20))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in TWO_QUTRIT_KINDS:
+            ctrl = draw(st.sampled_from(wires))
+            tgt = draw(st.sampled_from([q for q in range(n) if q != ctrl]))
+            gates.append(Gate(kind, draw(st.sampled_from([(ctrl, tgt), (tgt, ctrl)]))))
+            continue
+        q = draw(st.sampled_from(wires))
+        subspace = draw(st.sampled_from(SUBSPACES)) if kind in ("RotZ", "RotX", "SigmaX") else None
+        angle = draw(st.floats(-7.0, 7.0)) if kind in ("RotZ", "RotX") else None
+        gates.append(Gate(kind, (q,), subspace=subspace, angle=angle))
+    return Circuit(n, tuple(gates))
+
+
+RUNS_BROKEN_BY_CX = Circuit(4, (
+    hadamard(1), rot_x(1, "02", 0.4), Gate("Z", (1,)), rot_z(3, "12", 0.8),
+    cx(3, 1), rot_z(1, "01", -1.1), Gate("X2", (1,)), sigma_x(1, "12"),
+    rot_z(3, "02", 2.3), cx_dag(1, 3), hadamard(3), cx(0, 2), rot_z(0, "01", 0.6),
+    cx_dag(0, 3), Gate("Z2", (3,)), Gate("X", (0,)), cx(2, 0),
+))
+
+
+@given(any_circuits(), st.integers(0, 2**32 - 1))
+@example(Circuit(0), 0)
+@example(Circuit(3), 1)
+@example(RUNS_BROKEN_BY_CX, 2)
+def test_apply_and_unitary_match_gate_by_gate_oracle(circuit, seed):
+    """Both simulators against full per-gate matrices.  ``circuit_unitary``
+    is compared whole up to 4 qutrits, and on 3 random columns above."""
+    dim = 3**circuit.num_qutrits
+    rng = np.random.default_rng(seed)
+    state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    state /= np.linalg.norm(state)
+    got = apply_circuit(state, circuit)
+    assert np.max(np.abs(got - _oracle_apply(circuit, state))) < 1e-12
+    if dim <= 81:
+        probes = np.eye(dim)
+    else:
+        probes = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+    got = circuit_unitary(circuit) @ probes
+    assert np.max(np.abs(got - _oracle_apply(circuit, probes))) < 1e-12
+
+
+def test_apply_circuit_leaves_its_input_alone():
+    # diagonal gates and CX first: both update the simulated state in place
+    c = Circuit(3, (rot_z(0, "01", 0.3), Gate("Z", (2,)), cx(0, 2), cx_dag(2, 1),
+                    hadamard(1), rot_z(1, "12", 0.5), cx(1, 0)))
+    rng = np.random.default_rng(SEED)
+    state = rng.normal(size=27) + 1j * rng.normal(size=27)
+    state /= np.linalg.norm(state)
+    before = state.tobytes()
+    out = apply_circuit(state, c)
+    assert state.tobytes() == before
+    assert not out.flags.writeable
+    out_before = out.tobytes()
+    again = apply_circuit(out, c)  # a read-only input
+    assert out.tobytes() == out_before
+    assert not again.flags.writeable
+    u = circuit_unitary(c)
+    assert np.max(np.abs(again - u @ u @ state)) < 1e-12
 
 
 def test_apply_preserves_norm():
