@@ -98,9 +98,14 @@ def _compile_generator(op, theta: float) -> Circuit:
 
 def _exact_generator_phases(op, theta: float) -> np.ndarray:
     """Diagonal of the generator's exact exponential."""
-    if isinstance(op, weyl.GellMannString):
-        return np.exp(-1j * theta * weyl.gellmann_string_diagonal(op))
-    return np.exp(-1j * (theta / 2.0) * weyl.weyl_string_diagonal(op))
+    with np.errstate(all="ignore"):  # a huge finite theta or c overflows to inf or NaN
+        if isinstance(op, weyl.GellMannString):
+            phases = np.exp(-1j * theta * weyl.gellmann_string_diagonal(op))
+        else:
+            phases = np.exp(-1j * (theta / 2.0) * weyl.weyl_string_diagonal(op))
+    if not np.isfinite(phases).all():
+        raise TritcircError("generator phases are not finite: theta or c is too large")
+    return phases
 
 
 def _dump_circuit(circuit: Circuit, path: str) -> None:  # circuit_to_dict's JSON
@@ -164,24 +169,14 @@ def _cmd_route(args) -> int:
     topology = routing.topology_from_dict(load_json(args.topology))
     result = routing.steiner_gauss_synthesize(pmap, topology)
     implementing = result.implementing_circuit
-    # every gate of the circuit is GF(3)-linear, so its replayed matrix gives
-    # the image of each basis vector (a column) and of each random sample
-    n = pmap.n
-    replayed = np.eye(n, dtype=np.int64)
-    routing._apply_rows(replayed, implementing.gates)
-    ok = np.all(replayed == pmap.matrix, axis=0).sum()
-    rng = np.random.default_rng(args.seed)
-    samples = [rng.integers(0, 3, size=n) for _ in range(args.samples)]
-    sample_ok = sum(
-        np.array_equal(replayed @ x % 3, pmap.matrix @ x % 3) for x in samples
-    )
-    failed = ok != n or sample_ok != args.samples
+    _, ok, sample_ok = routing.check_implementation(pmap, implementing, args.samples, args.seed)
+    failed = ok != pmap.n or sample_ok != args.samples
     if args.out and not failed:
         _dump_circuit(implementing, args.out)
         dump_gate_records(args.log or args.out + ".rowops.json", "row_ops",
                           result.row_ops, routing.row_op_to_dict)
     counts = count_gates(implementing)
-    print(f"OK {ok}/{n} basis vectors, {sample_ok}/{args.samples} random samples; "
+    print(f"OK {ok}/{pmap.n} basis vectors, {sample_ok}/{args.samples} random samples; "
           f"cx_count {counts.cx_count}")
     if failed:
         raise TritcircError("synthesized circuit does not reproduce the parity map")

@@ -3,7 +3,9 @@
 A parity map is an invertible N x N matrix over GF(3) describing how a
 circuit of CX, CXDag and SigmaX(12) gates permutes basis trit-strings:
 CX(i, j) adds row i to row j, CXDag(i, j) subtracts it, SigmaX(12) on j
-doubles row j (all mod 3).
+doubles row j (all mod 3).  One kernel applies these row operations to rows
+held as two bit planes, Python ints ``(hi, lo)`` with bit j set where entry j
+is 2 or 1, for synthesis, its self-check, the invertibility test and replay.
 
 Synthesis reduces a map to the identity with row operations restricted to
 topology edges, guided by Steiner trees:
@@ -12,9 +14,9 @@ topology edges, guided by Steiner trees:
          trees so every operation sources a higher-ordered row (this keeps
          the matrix upper triangular),
   step 3 rescales diagonal 2-entries with SigmaX(12).
-The emitted gate list, replayed as row operations, reduces the input map to
-the identity; its inverse circuit implements the map itself.  The
-row-operation log is that gate list written as add/sub/double.
+The emitted gates (one ``Gate`` object per distinct operation), replayed as
+row operations, reduce the input map to the identity; their inverse circuit
+implements the map itself.  The row-operation log spells them add/sub/double.
 
 The SWAP baseline runs the same elimination, in the same vertex order, on the
 all-to-all graph and charges each row operation by its distance in the real
@@ -43,7 +45,7 @@ from .errors import (
     UnsupportedGate,
 )
 from .gates import (
-    Circuit, Gate, _json_object, cx, cx_dag, inverse_circuit, inverse_gate, sigma_x,
+    Circuit, Gate, _json_int, _json_object, cx, cx_dag, inverse_circuit, sigma_x,
 )
 
 
@@ -59,18 +61,18 @@ def _as_gf3(matrix) -> np.ndarray:
 
 
 def gf3_is_invertible(matrix) -> bool:
-    m = _as_gf3(matrix).copy()
-    n = m.shape[0]
+    """Rank test by forward elimination on the rows' bit planes."""
+    hi, lo = _planes(matrix)
+    n = len(hi)
     for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r, col]), None)
+        bit = 1 << col
+        pivot = next((r for r in range(col, n) if (hi[r] | lo[r]) & bit), None)
         if pivot is None:
             return False
-        m[[col, pivot]] = m[[pivot, col]]
-        inv = 1 if m[col, col] == 1 else 2  # inverse of 2 mod 3 is 2
-        m[col] = (m[col] * inv) % 3
-        for r in range(n):
-            if r != col and m[r, col]:
-                m[r] = (m[r] - m[r, col] * m[col]) % 3
+        hi[col], hi[pivot], lo[col], lo[pivot] = hi[pivot], hi[col], lo[pivot], lo[col]
+        one = lo[col] & bit  # equal entries cancel by subtraction, unequal by addition
+        _apply_row_ops(hi, lo, [("sub" if lo[r] & bit == one else "add", col, r)
+                                for r in range(col + 1, n) if (hi[r] | lo[r]) & bit])
     return True
 
 
@@ -96,40 +98,83 @@ class TernaryParityMap:
         return tuple((self.matrix @ x) % 3)
 
 
-def _apply_rows(rows, gates) -> None:
-    """Apply CX/CXDag/SigmaX(12) gates to GF(3) rows in place.
+def _planes(matrix) -> tuple[list[int], list[int]]:
+    """The rows of a GF(3) matrix as bit planes ``(hi, lo)``: bit j of
+    ``lo[r]`` is set when entry (r, j) is 1, and of ``hi[r]`` when it is 2."""
+    m = _as_gf3(matrix)
+    return tuple([int.from_bytes(row.tobytes(), "little")
+                  for row in np.packbits(m == v, axis=1, bitorder="little")] for v in (2, 1))
 
-    ``rows`` is one trit per qutrit (a list) or one matrix row per qutrit (a
-    2-D array); the same row operation acts on either.
-    """
-    for g in gates:
-        if g.kind == "CX":
-            c, t = g.qutrits
-            rows[t] = (rows[t] + rows[c]) % 3
-        elif g.kind == "CXDag":
-            c, t = g.qutrits
-            rows[t] = (rows[t] - rows[c]) % 3
-        elif g.kind == "SigmaX" and g.subspace == "12":
-            (t,) = g.qutrits
-            rows[t] = (2 * rows[t]) % 3
+
+def _apply_row_ops(hi: list[int], lo: list[int], ops) -> None:
+    """Apply ``(kind, control, target)`` row operations to bit-plane rows in
+    place: ``add``/``sub`` adds/subtracts row ``control`` to row ``target`` and
+    ``double`` doubles row ``target``.  A sum takes six logical operations
+    (Kawahara, Aoki & Takagi, Pairing 2008); doubling, which is negation,
+    swaps the planes."""
+    for kind, control, target in ops:
+        if kind == "double":
+            hi[target], lo[target] = lo[target], hi[target]
+            continue
+        x1, x0 = hi[target], lo[target]
+        if kind == "add":
+            y1, y0 = hi[control], lo[control]
         else:
+            y0, y1 = hi[control], lo[control]
+        u = (x1 | y0) ^ (x0 | y1)
+        hi[target] = (x0 | y0) ^ u
+        lo[target] = (x1 | y1) ^ u
+
+
+_ROW_OP_KINDS = {"CX": "add", "CXDag": "sub", "SigmaX": "double"}
+
+
+def _gate_row_ops(gates):
+    """The ``(kind, control, target)`` row operation of each CX, CXDag and
+    SigmaX(12) gate; any other gate raises ``UnsupportedGate``."""
+    for g in gates:
+        kind = _ROW_OP_KINDS.get(g.kind)
+        if kind is None or (kind == "double" and g.subspace != "12"):
             raise UnsupportedGate(f"{g.kind} has no parity-map semantics")
+        yield kind, g.qutrits[0], g.qutrits[-1]
+
+
+def _circuit_matrix(circuit: Circuit) -> np.ndarray:
+    """The int64 matrix of the circuit's row operations replayed on the identity."""
+    n = circuit.num_qutrits
+    hi, lo = [0] * n, [1 << q for q in range(n)]
+    _apply_row_ops(hi, lo, _gate_row_ops(circuit.gates))
+    digits = "".join(f"{r:0{n}b}"[::-1] for r in hi + lo).encode()  # bit j at index j
+    planes = np.frombuffer(digits, dtype=np.uint8).reshape(2, n, n).astype(np.int64) - 48
+    return 2 * planes[0] + planes[1]
 
 
 def parity_map_of_circuit(circuit: Circuit) -> TernaryParityMap:
     """GF(3) matrix whose action on trit-strings matches the circuit."""
-    m = np.eye(circuit.num_qutrits, dtype=np.int64)
-    _apply_rows(m, circuit.gates)
-    return TernaryParityMap(m)
+    return TernaryParityMap(_circuit_matrix(circuit))
 
 
 def apply_circuit_to_trits(circuit: Circuit, trits) -> tuple[int, ...]:
-    """Classical replay of a CX/CXDag/SigmaX(12) circuit on a trit-string."""
-    x = list(trits)
+    """Classical replay of a CX/CXDag/SigmaX(12) circuit on a trit-string,
+    a one-column parity map whose planes hold one bit each."""
+    x = [int(t) % 3 for t in trits]
     if len(x) != circuit.num_qutrits:
         raise IndexOutOfRange(f"need {circuit.num_qutrits} trits")
-    _apply_rows(x, circuit.gates)
-    return tuple(x)
+    hi, lo = [t >> 1 for t in x], [t & 1 for t in x]
+    _apply_row_ops(hi, lo, _gate_row_ops(circuit.gates))
+    return tuple(h << 1 | b for h, b in zip(hi, lo))
+
+
+def check_implementation(pmap: TernaryParityMap, circuit: Circuit, samples: int,
+                         seed: int) -> tuple[np.ndarray, int, int]:
+    """The circuit's matrix (each column the image of a basis vector, as every
+    gate is GF(3)-linear), how many of its columns equal the map's, and how
+    many of ``samples`` random trit-strings from ``default_rng(seed)`` map alike."""
+    replayed = _circuit_matrix(circuit)
+    rng = np.random.default_rng(seed)
+    xs = [rng.integers(0, 3, size=pmap.n) for _ in range(samples)]
+    return (replayed, int(np.all(replayed == pmap.matrix, axis=0).sum()),
+            sum(np.array_equal(replayed @ x % 3, pmap.matrix @ x % 3) for x in xs))
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +284,19 @@ def _bfs_paths(neighbors, sources) -> dict:
     return parent
 
 
+def _depths(parent: dict) -> dict:
+    """Vertex depths in a BFS forest given by its ``_bfs_paths`` parent map."""
+    depth = {}
+    for v, p in parent.items():  # BFS insertion order: parents come first
+        depth[v] = 0 if p is None else depth[p] + 1
+    return depth
+
+
 def _nearest_path(neighbors, sources, candidates) -> list[int] | None:
     """BFS path from one of ``sources`` to the nearest of ``candidates`` (ties
     to the smallest label), source first; None if no candidate is reachable."""
     parent = _bfs_paths(neighbors, sources)
-    depth = {}
-    for v, p in parent.items():  # BFS insertion order: parents come first
-        depth[v] = 0 if p is None else depth[p] + 1
+    depth = _depths(parent)
     reachable = [(depth[c], c) for c in candidates if c in parent]
     if not reachable:
         return None
@@ -343,7 +394,8 @@ class SynthesisResult:
 
 
 class _Eliminator:
-    """Mutable synthesis state in vertex-order (position) space."""
+    """Mutable synthesis state in vertex-order (position) space: the rows'
+    bit planes and the ``(kind, control, target)`` row operations so far."""
 
     def __init__(self, matrix: np.ndarray, topology: Topology):
         self.perm = list(topology.order)  # position -> vertex
@@ -352,35 +404,38 @@ class _Eliminator:
         self.top = Topology(
             n, frozenset((pos[a], pos[b]) for a, b in topology.edges), range(n)
         )
-        self.m = matrix[np.ix_(self.perm, self.perm)] % 3
-        self.gates: list[Gate] = []  # in position space
+        self.hi, self.lo = _planes(matrix[np.ix_(self.perm, self.perm)])
+        self.ops: list[tuple[str, int, int]] = []
         self.check_upper = False  # step 2 checks triangularity per operation
 
-    def emit(self, gate: Gate):
-        _apply_rows(self.m, (gate,))
-        self.gates.append(gate)
-        # a gate changes only its target row, so only that row can break the form
-        t = gate.qutrits[-1]
-        if self.check_upper and self.m[t, :t].any():
-            raise EliminationFailed(f"triangular form broken by {gate}")
+    def entry(self, row: int, col: int) -> int:
+        return (self.lo[row] >> col & 1) | (self.hi[row] >> col & 1) << 1
+
+    def nonzero_rows(self, rows, col: int) -> set:
+        return {r for r in rows if (self.hi[r] | self.lo[r]) >> col & 1}
+
+    def emit(self, kind: str, control: int, target: int):
+        op = (kind, control, target)
+        _apply_row_ops(self.hi, self.lo, (op,))
+        self.ops.append(op)
+        # an operation changes only its target row, so only that row can break the form
+        if self.check_upper and (self.hi[target] | self.lo[target]) & ((1 << target) - 1):
+            raise EliminationFailed(f"triangular form broken by {op}")
 
     # -- step helpers ------------------------------------------------------
 
     def _ensure_pivot(self, col: int, live: set):
-        if self.m[col, col] % 3:
+        if self.entry(col, col):
             return
-        path = _nearest_path(
-            lambda v: [u for u in self.top.neighbors(v) if u in live],
-            [col],
-            (r for r in live if r != col and self.m[r, col] % 3),
-        )
+        path = _nearest_path(lambda v: [u for u in self.top.neighbors(v) if u in live],
+                             [col], self.nonzero_rows(live - {col}, col))
         if path is None:
             raise NotInvertible(f"no pivot available for column {col}")
         # pull the nonzero value up the path col ... target toward the pivot row
         for a, b in reversed(list(zip(path[:-1], path[1:]))):
-            if not self.m[a, col] % 3:
-                self.emit(cx(b, a))
-        if not self.m[col, col] % 3:
+            if not self.entry(a, col):
+                self.emit("add", b, a)
+        if not self.entry(col, col):
             raise NotInvertible(f"pivot fill failed in column {col}")
 
     def _clear_with_tree(self, col: int, tree: SteinerTree):
@@ -390,29 +445,26 @@ class _Eliminator:
         for term in terminals:
             path = tree.path_from_root(term)
             interior = path[1:-1]
-            cascade: list[Gate] = []
+            cascade = []
             for prev, cur in zip(path, interior):
-                if (self.m[cur, col] + self.m[prev, col]) % 3:
-                    gate = cx(prev, cur)
-                else:
-                    gate = cx_dag(prev, cur)
-                self.emit(gate)
-                cascade.append(gate)
-                if not self.m[cur, col] % 3:
+                kind = "add" if (self.entry(cur, col) + self.entry(prev, col)) % 3 else "sub"
+                self.emit(kind, prev, cur)
+                cascade.append((kind, prev, cur))
+                if not self.entry(cur, col):
                     raise EliminationFailed(
                         f"cascade lost the running value at row {cur}, column {col}"
                     )
             source = interior[-1] if interior else tree.root
-            e, p = self.m[term, col] % 3, self.m[source, col] % 3
+            e, p = self.entry(term, col), self.entry(source, col)
             if not (e and p):
                 raise EliminationFailed(
                     f"zero terminal or pivot entry at rows {term}, {source}, column {col}"
                 )
-            self.emit(cx(source, term) if (e + p) % 3 == 0 else cx_dag(source, term))
-            if self.m[term, col] % 3:
+            self.emit("add" if (e + p) % 3 == 0 else "sub", source, term)
+            if self.entry(term, col):
                 raise EliminationFailed(f"row {term} not cleared in column {col}")
-            for gate in reversed(cascade):
-                self.emit(*inverse_gate(gate))
+            for kind, prev, cur in reversed(cascade):
+                self.emit("sub" if kind == "add" else "add", prev, cur)
 
     # -- the three steps ---------------------------------------------------
 
@@ -420,7 +472,7 @@ class _Eliminator:
         for col in range(self.n):
             live = set(range(col, self.n))
             self._ensure_pivot(col, live)
-            terminals = {r for r in live if r > col and self.m[r, col] % 3}
+            terminals = self.nonzero_rows(range(col + 1, self.n), col)
             if not terminals:
                 continue
             tree = steiner_tree(self.top, terminals | {col}, col, allowed=live)
@@ -429,7 +481,7 @@ class _Eliminator:
     def diagonalize(self):
         self.check_upper = True
         for col in range(self.n - 1, 0, -1):
-            terminals = {r for r in range(col) if self.m[r, col] % 3}
+            terminals = self.nonzero_rows(range(col), col)
             if not terminals:
                 continue
             tree = decreasing_steiner_tree(self.top, terminals | {col}, col)
@@ -438,26 +490,26 @@ class _Eliminator:
 
     def fix_diagonal(self):
         for row in range(self.n):
-            if self.m[row, row] % 3 == 2:
-                self.emit(sigma_x(row, "12"))
+            if self.entry(row, row) == 2:
+                self.emit("double", row, row)
 
     def run(self) -> list[Gate]:
         """The three steps, each checked for the form it must leave; returns
-        the gates in vertex labels."""
+        the gates in vertex labels, one ``Gate`` per distinct row operation."""
+        rows = self.hi, self.lo
         self.lower_triangularize()
-        if np.tril(self.m, -1).any():
+        if any((h | b) & ((1 << r) - 1) for r, (h, b) in enumerate(zip(*rows))):
             raise EliminationFailed("step 1 left entries below the diagonal")
         self.diagonalize()
-        if (self.m - np.diag(np.diag(self.m))).any():
+        if any((h | b) & ~(1 << r) for r, (h, b) in enumerate(zip(*rows))):
             raise EliminationFailed("step 2 left entries off the diagonal")
         self.fix_diagonal()
-        if not np.array_equal(self.m, np.eye(self.n, dtype=np.int64)):
+        if any(h or b != 1 << r for r, (h, b) in enumerate(zip(*rows))):
             raise EliminationFailed("step 3 did not reach the identity")
-        perm = self.perm
-        return [
-            Gate(g.kind, tuple(perm[q] for q in g.qutrits), subspace=g.subspace)
-            for g in self.gates
-        ]
+        p = self.perm
+        gates = {(kind, c, t): sigma_x(p[t], "12") if kind == "double" else
+                 (cx if kind == "add" else cx_dag)(p[c], p[t]) for kind, c, t in set(self.ops)}
+        return [gates[op] for op in self.ops]
 
 
 def steiner_gauss_synthesize(
@@ -472,8 +524,7 @@ def steiner_gauss_synthesize(
         raise IndexOutOfRange(
             f"map size {pmap.n} does not match topology size {topology.n}"
         )
-    gates = _Eliminator(np.array(pmap.matrix), topology).run()
-    return SynthesisResult(Circuit(pmap.n, tuple(gates)))
+    return SynthesisResult(Circuit(pmap.n, tuple(_Eliminator(pmap.matrix, topology).run())))
 
 
 # ---------------------------------------------------------------------------
@@ -489,30 +540,12 @@ def naive_swap_baseline_count(pmap: TernaryParityMap, topology: Topology) -> int
     6(d-1)+1 CX-type gates, d the topology distance (SWAP chains there and
     back at 3 CX-type gates per SWAP).  SigmaX(12) costs no CX-type gates.
     """
-    dist = _all_pairs_distances(topology)
+    dist = [_depths(_bfs_paths(topology.neighbors, {s})) for s in range(topology.n)]
     n = pmap.n
     complete = Topology(n, frozenset(combinations(range(n), 2)), topology.order)
-    total = 0
-    for g in _Eliminator(np.array(pmap.matrix), complete).run():
-        if g.is_cx_kind:
-            d = dist[g.qutrits[0]][g.qutrits[1]]
-            total += 1 if d == 1 else 6 * (d - 1) + 1
-    return total
-
-
-def _all_pairs_distances(topology: Topology) -> list[list[int]]:
-    out = []
-    for s in range(topology.n):
-        dist = {s: 0}
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for u in topology.neighbors(v):
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-        out.append([dist[v] for v in range(topology.n)])
-    return out
+    gates = _Eliminator(pmap.matrix, complete).run()
+    hops = (dist[g.qutrits[0]][g.qutrits[1]] for g in gates if g.is_cx_kind)
+    return sum(1 if d == 1 else 6 * (d - 1) + 1 for d in hops)
 
 
 def random_invertible_parity_map(n: int, rng: np.random.Generator) -> TernaryParityMap:
@@ -531,11 +564,13 @@ def parity_map_from_dict(d: dict) -> TernaryParityMap:
     d = _json_object(d, "parity map")
     try:
         rows = np.array(d["rows"], dtype=np.int64)
-        n = int(d["n"])
+        n = _json_int(d["n"], "n")
     except TypeError as exc:
         raise TritcircError(f"malformed parity map: {exc}") from None
     if rows.shape != (n, n):
         raise NotInvertible("rows do not form an n x n matrix")
+    for v in (v for row in d["rows"] for v in row):  # numpy reads 1.5 and true as 1
+        _json_int(v, "rows")
     return TernaryParityMap(rows)
 
 
@@ -546,15 +581,12 @@ def topology_to_dict(t: Topology) -> dict:
 def topology_from_dict(d: dict) -> Topology:
     d = _json_object(d, "topology")
     try:
-        n = int(d["n"])
-        edges = frozenset(tuple(int(v) for v in e) for e in d["edges"])
-        order = tuple(int(v) for v in d["order"])
+        n = _json_int(d["n"], "n")
+        edges = frozenset(tuple(_json_int(v, "edges") for v in e) for e in d["edges"])
+        order = tuple(_json_int(v, "order") for v in d["order"])
     except TypeError as exc:
         raise TritcircError(f"malformed topology: {exc}") from None
     return Topology(n, edges, order)
-
-
-_ROW_OP_KINDS = {"CX": "add", "CXDag": "sub", "SigmaX": "double"}
 
 
 def row_op_to_dict(g: Gate) -> dict:

@@ -256,6 +256,15 @@ MALFORMED_ROUTE_INPUTS = {
     "edges-not-a-list": ("topology", {"n": 2, "edges": 3, "order": [0, 1]}),
     "topology-top-level-list": ("topology", [[0, 1]]),
     "parity-top-level-list": ("parity", [[1]]),
+    # no silent truncation: 2.9 would read as 2, 1.5 as 1 and true as 1
+    "parity-n-fractional": ("parity", {"n": 2.9, "rows": [[1, 0], [0, 1]]}),
+    "parity-n-boolean": ("parity", {"n": True, "rows": [[1]]}),
+    "parity-entry-fractional": ("parity", {"n": 2, "rows": [[1.5, 0], [0, 1]]}),
+    "parity-entry-boolean": ("parity", {"n": 2, "rows": [[True, 0], [0, 1]]}),
+    "topology-n-fractional": ("topology", {"n": 2.5, "edges": [[0, 1]], "order": [0, 1]}),
+    "topology-n-boolean": ("topology", {"n": True, "edges": [], "order": [0]}),
+    "topology-edge-fractional": ("topology", {"n": 2, "edges": [[0, 1.5]], "order": [0, 1]}),
+    "topology-order-fractional": ("topology", {"n": 2, "edges": [[0, 1]], "order": [0, 1.5]}),
 }
 
 
@@ -267,11 +276,50 @@ def test_malformed_route_input_exits_1_with_json(tmp_path, capsys, name):
     files[which] = payload
     for key, value in files.items():
         dump_json(value, str(tmp_path / f"{key}.json"))
+    before = sorted(p.name for p in tmp_path.iterdir())
     code = main(["route", "--parity", str(tmp_path / "parity.json"),
-                 "--topology", str(tmp_path / "topology.json")])
+                 "--topology", str(tmp_path / "topology.json"),
+                 "--out", str(tmp_path / "out.json")])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "TritcircError"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_route_reads_integral_floats_as_integers(tmp_path, capsys):
+    outputs = []
+    for number in (int, float):
+        work = tmp_path / number.__name__
+        work.mkdir()
+        dump_json({"n": number(2), "rows": [[number(1), number(2)], [number(1), number(0)]]},
+                  str(work / "parity.json"))
+        dump_json({"n": number(2), "edges": [[number(0), number(1)]],
+                   "order": [number(1), number(0)]}, str(work / "topology.json"))
+        code = main(["route", "--parity", str(work / "parity.json"),
+                     "--topology", str(work / "topology.json"), "--out", str(work / "r.json")])
+        assert code == 0
+        outputs.append((capsys.readouterr().out, (work / "r.json").read_bytes(),
+                        (work / "r.json.rowops.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].startswith("OK 2/2 basis vectors")
+
+
+def test_verify_rejects_overflowing_phases_with_one_json_line(tmp_path, capsys):
+    """c and theta near 1e308 are finite, but the exact phases overflow: the
+    diagnostic is one JSON line, with no numpy warning and no NaN on stdout."""
+    gen, circuit = tmp_path / "g.json", tmp_path / "c.json"
+    dump_json({"type": "weyl", "c": {"re": 1e308, "im": 1e308}, "s": [2, 1],
+               "theta": 1e308}, str(gen))
+    dump_json({"n": 3, "gates": []}, str(circuit))
+    code = main(["verify", "--circuit", str(circuit), "--generator", str(gen)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.endswith("\n")
     assert json.loads(captured.err)["error"] == "TritcircError"
 
 

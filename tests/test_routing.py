@@ -24,9 +24,13 @@ from tritcirc.gates import Circuit, cx, cx_dag, dump_json, hadamard, sigma_x
 from tritcirc.routing import (
     TernaryParityMap,
     Topology,
-    _apply_rows,
+    _apply_row_ops,
+    _gate_row_ops,
+    _planes,
     apply_circuit_to_trits,
+    check_implementation,
     decreasing_steiner_tree,
+    gf3_is_invertible,
     grid_topology_3x3,
     line_topology,
     naive_swap_baseline_count,
@@ -71,25 +75,91 @@ def test_parity_map_rejects_other_gates():
         parity_map_of_circuit(Circuit(1, (sigma_x(0, "01"),)))
 
 
+def _replayed(matrix, gates):
+    """``matrix`` after the gates' row operations, through the plane kernel,
+    read back entry by entry."""
+    hi, lo = _planes(matrix)
+    _apply_row_ops(hi, lo, _gate_row_ops(gates))
+    return np.array([[(b >> j & 1) + 2 * (h >> j & 1) for j in range(len(hi))]
+                     for h, b in zip(hi, lo)], dtype=np.int64).reshape(len(hi), len(hi))
+
+
 def test_row_ops():
     eye = np.eye(2, dtype=np.int64)
-    doubled = eye.copy()
-    _apply_rows(doubled, (sigma_x(0, "12"), sigma_x(0, "12")))
+    doubled = _replayed(eye, (sigma_x(0, "12"), sigma_x(0, "12")))
     assert np.array_equal(doubled, eye)
-    added = eye.copy()
-    _apply_rows(added, (cx(0, 1),))
+    added = _replayed(eye, (cx(0, 1),))
     assert added.tolist() == [[1, 0], [1, 1]]
-    _apply_rows(added, (cx_dag(0, 1),))
+    added = _replayed(added, (cx_dag(0, 1),))
     assert np.array_equal(added, eye)
-    trits = [1, 0]  # one trit string takes the same row operations
-    _apply_rows(trits, (cx(0, 1), sigma_x(1, "12")))
-    assert trits == [1, 2]
+    hi, lo = [0, 0], [1, 0]  # the trit string (1, 0) as a one-column map
+    _apply_row_ops(hi, lo, _gate_row_ops((cx(0, 1), sigma_x(1, "12"))))
+    assert (hi, lo) == ([0, 1], [1, 0])  # (1, 2)
     with pytest.raises(UnsupportedGate):
-        _apply_rows(eye.copy(), (hadamard(0),))
+        _replayed(eye, (hadamard(0),))
     with pytest.raises(InvalidCircuit):  # a gate outside the register
         parity_map_of_circuit(Circuit(2, (cx(1, 5),)))
     with pytest.raises(IndexOutOfRange):
         apply_circuit_to_trits(Circuit(2, (cx(0, 1),)), [1, 0, 0])
+
+
+def _numpy_is_invertible(matrix) -> bool:
+    """Oracle: Gauss-Jordan elimination on a numpy matrix, entry by entry."""
+    m = np.asarray(matrix, dtype=np.int64) % 3
+    n = m.shape[0]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r, col]), None)
+        if pivot is None:
+            return False
+        m[[col, pivot]] = m[[pivot, col]]
+        inv = 1 if m[col, col] == 1 else 2  # inverse of 2 mod 3 is 2
+        m[col] = (m[col] * inv) % 3
+        for r in range(n):
+            if r != col and m[r, col]:
+                m[r] = (m[r] - m[r, col] * m[col]) % 3
+    return True
+
+
+@st.composite
+def _gf3_matrices(draw):
+    """Square GF(3) matrices of size 1 to 12; about half are made singular by
+    overwriting one row with a combination of the others."""
+    n = draw(st.integers(1, 12))
+    m = np.array(draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                               min_size=n, max_size=n)), dtype=np.int64)
+    if draw(st.booleans()):
+        coeffs = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        row = draw(st.integers(0, n - 1))
+        coeffs[row] = 0
+        m[row] = coeffs @ m % 3
+    return m
+
+
+@given(_gf3_matrices())
+def test_plane_invertibility_matches_numpy_gauss_jordan(m):
+    assert gf3_is_invertible(m) == _numpy_is_invertible(m)
+
+
+@given(st.data())
+def test_plane_kernel_matches_numpy_row_operations(data):
+    n = data.draw(st.integers(1, 70))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m = rng.integers(0, 3, size=(n, n))
+    gates = []
+    for _ in range(data.draw(st.integers(0, 60))):
+        c, t = (int(q) for q in rng.choice(n, size=2, replace=n == 1))
+        kind = 2 if n == 1 else rng.integers(3)
+        gates.append(cx(c, t) if kind == 0 else cx_dag(c, t) if kind == 1 else sigma_x(t, "12"))
+    expected = m.copy()
+    for g in gates:  # oracle: one numpy row update per gate
+        t = g.qutrits[-1]
+        if g.kind == "CX":
+            expected[t] = (expected[t] + expected[g.qutrits[0]]) % 3
+        elif g.kind == "CXDag":
+            expected[t] = (expected[t] - expected[g.qutrits[0]]) % 3
+        else:
+            expected[t] = (2 * expected[t]) % 3
+    assert np.array_equal(_replayed(m, gates), expected)
 
 
 @st.composite
@@ -249,9 +319,8 @@ def test_replay_of_reduction_circuit_reaches_identity():
     pmap = random_invertible_parity_map(9, rng)
     line = line_topology(9)
     result = steiner_gauss_synthesize(pmap, line)
-    m = np.array(pmap.matrix)
-    _apply_rows(m, result.row_ops)
-    assert np.array_equal(m % 3, np.eye(9, dtype=int))
+    m = _replayed(pmap.matrix, result.row_ops)
+    assert np.array_equal(m, np.eye(9, dtype=int))
 
 
 def test_synthesized_count_within_naive_baseline_on_line():
@@ -293,15 +362,15 @@ CORRUPTED_ELIMINATION = textwrap.dedent("""
     from tritcirc.errors import TritcircError
 
     assert False, "asserts must be stripped"  # runs only without -O
-    apply, calls = routing._apply_rows, [0]
+    pmap = routing.random_invertible_parity_map(9, np.random.default_rng(3))
+    apply, calls = routing._apply_row_ops, [0]
 
-    def drop_one(rows, gates):  # loses the DROP-th row operation
+    def drop_one(hi, lo, ops):  # loses the DROP-th row operation of the eliminator
         calls[0] += 1
         if calls[0] != DROP:
-            apply(rows, gates)
+            apply(hi, lo, ops)
 
-    routing._apply_rows = drop_one
-    pmap = routing.random_invertible_parity_map(9, np.random.default_rng(3))
+    routing._apply_row_ops = drop_one
     try:
         routing.steiner_gauss_synthesize(pmap, routing.grid_topology_3x3())
     except TritcircError as exc:
@@ -333,6 +402,21 @@ def _serpentine_grid(rows: int, cols: int) -> Topology:
             if r + 1 < rows:
                 edges.add((v, v + cols))
     return Topology(rows * cols, frozenset(edges), tuple(order))
+
+
+def test_synthesis_round_trip_on_9x9_grid_wider_than_a_word():
+    """81 columns: each plane row spans two 64-bit words."""
+    topology = _serpentine_grid(9, 9)
+    pmap = random_invertible_parity_map(81, np.random.default_rng(81))
+    result = steiner_gauss_synthesize(pmap, topology)
+    impl = result.implementing_circuit
+    assert all(tuple(sorted(g.qutrits)) in topology.edges for g in impl.gates if g.is_cx_kind)
+    assert np.array_equal(_replayed(pmap.matrix, result.row_ops), np.eye(81, dtype=int))
+    assert np.array_equal(parity_map_of_circuit(impl).matrix, pmap.matrix)
+    replayed, basis_ok, samples_ok = check_implementation(pmap, impl, 5, 0)
+    assert np.array_equal(replayed, pmap.matrix) and (basis_ok, samples_ok) == (81, 5)
+    x = tuple(int(t) for t in np.random.default_rng(9).integers(0, 3, size=81))
+    assert apply_circuit_to_trits(impl, x) == pmap.apply(x)
 
 
 SERPENTINE_GRIDS_AND_LADDERS = st.one_of(
@@ -395,6 +479,17 @@ ROUTE_OUTPUT_PINS = {
         "9f43e8298e2006d31392b3a23507e019d4c5f9b308471f89703e2d362adb38a3",
         "3424616c63903d9ec061444c30c54aaa4394d19cbb6a1e46f0df5c15f1449a3a",
         "685c66187f16d44ed59381d33a178512c12fd1a7901fd16bdc45798cfe033ad2",
+    )),
+    # taken before rows moved from numpy arrays to bit planes
+    "serpentine-6x6": (lambda: _serpentine_grid(6, 6), 44, (
+        "0bd63a470b095d6447385762da677a12e91f5f7a3c616a5b363cf731934ad83a",
+        "398ae9a99ac37122e9ee05f26f317868e9a2a70ac2ec0619c3df4529d6eef844",
+        "78cb1eda9db70a590657280ebdf0b5554a2255169a64c020ae1fdecac163dd20",
+    )),
+    "serpentine-8x8": (lambda: _serpentine_grid(8, 8), 45, (
+        "80c5eda080eb5ecf731a06963e1051f9424636cb957f996e474f77d824a5cfac",
+        "28217fb14b35adb2d00cef372af7c7f9312bc86df74be424222b53217a1bf7c8",
+        "fe1fcbd3e1f38e761ee36a208c0c10e2b7555402419276f20bceba1ac577b0c6",
     )),
 }
 
