@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -19,6 +20,7 @@ from . import qaoa, routing, weyl
 from .decompose import count_gates, decompose_gellmann, decompose_weyl
 from .errors import TritcircError
 from .gates import (
+    TWO_QUTRIT_KINDS,
     Circuit,
     _json_int,
     _json_object,
@@ -175,9 +177,9 @@ def _cmd_route(args) -> int:
         _dump_circuit(implementing, args.out)
         dump_gate_records(args.log or args.out + ".rowops.json", "row_ops",
                           result.row_ops, routing.row_op_to_dict)
-    counts = count_gates(implementing)
+    cx_count = sum(g.kind in TWO_QUTRIT_KINDS for g in implementing.gates)
     print(f"OK {ok}/{pmap.n} basis vectors, {sample_ok}/{args.samples} random samples; "
-          f"cx_count {counts.cx_count}")
+          f"cx_count {cx_count}")
     if failed:
         raise TritcircError("synthesized circuit does not reproduce the parity map")
     return 0
@@ -240,9 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (TritcircError, OSError, KeyError, ValueError, OverflowError) as exc:

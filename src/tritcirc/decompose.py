@@ -29,10 +29,10 @@ from .errors import (
 )
 from .gates import (
     Circuit,
-    DIAGONAL_KINDS,
     Gate,
-    ROTATION_KINDS,
-    SINGLE_QUTRIT_KINDS,
+    _unchecked_circuit,
+    cx,
+    cx_dag,
     cx_pow,
     rot_z,
 )
@@ -94,7 +94,7 @@ def decompose_weyl(w: WeylZString, theta: float) -> Circuit:
     n = w.weight
     support = [(j, e) for j, e in enumerate(w.s)] + [(n - 1, 1)]
     rotations = rotation_synthesis(w.c, theta, qutrit=n - 1)
-    return Circuit(n, tuple(_weyl_ladder(support, rotations)))
+    return _unchecked_circuit(n, tuple(_weyl_ladder(support, rotations)))
 
 
 def gray_order(expansion: WeylExpansion) -> list:
@@ -154,22 +154,39 @@ def decompose_gellmann(g: GellMannString, theta: float) -> Circuit:
     parity_odd = g.n3 % 2 == 1
     scale = 1.0 / np.sqrt(3.0**n)
     target = n - 1
+    # the 2(N-1) CX^{+-1} gates onto the target, shared by both ladders and
+    # every Gray step, and the block rotations by (n mod 3, sign of r)
+    steps = [(cx(j, target), cx_dag(j, target)) for j in range(target)]
+    rotations: dict = {}
+    on_lambda3 = [i == 3 for i in g.indices]
+    # c(s) = i^{n3} (-1)^{f+N} scale omega^n = (i if odd else 1) * r * omega^n,
+    # n the sum of the exponents s + [1] and f their excess over 1 on the
+    # lambda^3 factors; a Gray step moves one exponent between 1 and 2, so it
+    # changes n by +-1 and, on a lambda^3 factor, the parity of f.
     s = [1] * target  # exponent string of the current block, Gray index 0
-    gates: list[Gate] = [cx_pow(j, target, 1) for j in range(target)]
+    n_mod3 = n % 3
+    negative = (n + g.n3 // 2) % 2 == 1  # r < 0: f + N + n3 // 2 is odd
+    gates: list[Gate] = [up for up, _ in steps]
     for t in range(2 ** target):
         if t:
             flip = (t & -t).bit_length() - 1  # lowest set bit of t
-            step = 1 if s[flip] == 1 else -1
-            s[flip] += step
-            gates.append(cx_pow(flip, target, step))
-        full = s + [1]
-        n_mod3 = sum(full) % 3
-        # c(s) = i^{n3} (-1)^{f+N} scale omega^n = (i if odd else 1) * r * omega^n
-        f = sum(full[j] - 1 for j in range(n) if g.indices[j] == 3)
-        r = scale * (-1.0) ** (f + n + g.n3 // 2)
-        gates.extend(_block_rotations(parity_odd, n_mod3, r, 2.0 * theta, target))
-    gates.extend(cx_pow(j, target, 2 * e) for j, e in enumerate(s))
-    return Circuit(n, tuple(gates))
+            up, down = steps[flip]
+            if s[flip] == 1:
+                s[flip], n_mod3 = 2, (n_mod3 + 1) % 3
+                gates.append(up)
+            else:
+                s[flip], n_mod3 = 1, (n_mod3 - 1) % 3
+                gates.append(down)
+            if on_lambda3[flip]:
+                negative = not negative
+        block = rotations.get((n_mod3, negative))
+        if block is None:
+            r = -scale if negative else scale
+            block = rotations[n_mod3, negative] = _block_rotations(
+                parity_odd, n_mod3, r, 2.0 * theta, target)
+        gates.extend(block)
+    gates.extend(steps[j][1 if e == 1 else 0] for j, e in enumerate(s))
+    return _unchecked_circuit(n, tuple(gates))
 
 
 def merge_cx_ladders(circuit: Circuit) -> Circuit:
@@ -209,33 +226,37 @@ def merge_cx_ladders(circuit: Circuit) -> Circuit:
     return Circuit(circuit.num_qutrits, tuple(out))
 
 
+# count_gates' class of each kind: 0 CX-type; single-qutrit 1 RotZ, 2 Z and Z2
+# (classes 1 and 2 are the diagonal kinds), 3 RotX, 4 the rest
+_COUNT_CLASS = {"CX": 0, "CXDag": 0, "RotZ": 1, "Z": 2, "Z2": 2, "RotX": 3,
+                "X": 4, "X2": 4, "SigmaX": 4, "H": 4}
+
+
 def count_gates(circuit: Circuit) -> GateCounts:
-    """Deterministic gate counts plus ASAP depth.
+    """Deterministic gate counts plus ASAP depth, in one pass.
 
     Depth layers gates greedily: a gate starts at the earliest layer after
     all gates sharing a qutrit, and a maximal run of consecutive diagonal
     single-qutrit gates on one wire occupies a single layer (they compile to
     one diagonal pulse).  Non-diagonal rotations are not fused.
     """
-    cx_count = sum(1 for g in circuit.gates if g.is_cx_kind)
-    rotation_count = sum(1 for g in circuit.gates if g.kind in ROTATION_KINDS)
-    single_count = sum(1 for g in circuit.gates if g.kind in SINGLE_QUTRIT_KINDS)
-    avail = [0] * circuit.num_qutrits
-    fusing: dict[int, int] = {}  # wire -> layer of its open diagonal run
-    depth = 0
+    tally = [0] * 5
+    avail = [0] * circuit.num_qutrits  # first free layer of each wire
+    run = [-1] * circuit.num_qutrits  # layer of the wire's open diagonal run
     for g in circuit.gates:
-        if g.kind in DIAGONAL_KINDS and len(g.qutrits) == 1:
-            (q,) = g.qutrits
-            if q in fusing:
-                layer = fusing[q]
-            else:
-                layer = avail[q]
-                fusing[q] = layer
-                avail[q] = layer + 1
+        cls = _COUNT_CLASS[g.kind]
+        tally[cls] += 1
+        if cls == 0:
+            a, b = g.qutrits
+            layer = avail[a] if avail[a] > avail[b] else avail[b]
+            avail[a] = avail[b] = layer + 1
+            run[a] = run[b] = -1
         else:
-            layer = max(avail[q] for q in g.qutrits)
-            for q in g.qutrits:
-                avail[q] = layer + 1
-                fusing.pop(q, None)
-        depth = max(depth, layer + 1)
-    return GateCounts(cx_count, rotation_count, single_count, depth)
+            (q,) = g.qutrits
+            if cls > 2:
+                avail[q] += 1
+                run[q] = -1
+            elif run[q] < 0:
+                run[q] = avail[q]
+                avail[q] += 1
+    return GateCounts(tally[0], tally[1] + tally[3], sum(tally[1:]), max(avail, default=0))

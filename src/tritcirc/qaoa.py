@@ -20,7 +20,9 @@ import numpy as np
 
 from .decompose import count_gates, rotation_synthesis, _weyl_ladder
 from .errors import DimensionMismatch, InvalidCircuit, UnsupportedK
-from .gates import Circuit, Gate, cx, cx_dag, hadamard, rot_x
+from .gates import (
+    Circuit, Gate, _map_distinct, _unchecked_circuit, _unchecked_gate, cx, cx_dag, hadamard, rot_x,
+)
 from .sim import trit_columns
 
 #: One term of an edge Hamiltonian: ((qutrit, exponent), ...) sorted by
@@ -177,34 +179,39 @@ def edge_circuit(k: int, v: int, w: int, gamma: float) -> Circuit:
     return _edge_generic(k, gamma)
 
 
-def _remap(circuit: Circuit, wires: list[int]) -> list[Gate]:
-    out = []
-    for g in circuit.gates:
-        out.append(
-            Gate(g.kind, tuple(wires[q] for q in g.qutrits),
-                 subspace=g.subspace, angle=g.angle)
-        )
-    return out
+def _remap(gates: list[Gate], wires: list[int]) -> list[Gate]:
+    """The gates moved onto ``wires`` (distinct wires, so a valid gate stays
+    valid), built unchecked, once per gate object."""
+    return _map_distinct(lambda g: _unchecked_gate(
+        g.kind, tuple([wires[q] for q in g.qutrits]), g.subspace, g.angle), gates)
 
 
-def cost_layer(problem: ColoringProblem, gamma: float) -> Circuit:
-    """exp(-i gamma/2 H_C): edge circuits concatenated in sorted edge order."""
+def _cost_gates(problem: ColoringProblem, gamma: float) -> list[Gate]:
     m = problem.qutrits_per_node
-    template = edge_circuit(problem.k, 0, 1, gamma)  # the same for every edge
+    # the same for every edge; one object per distinct gate, so each edge
+    # remaps (and the writer formats) every distinct gate once
+    shared: dict = {}
+    template = [shared.setdefault((g.kind, g.qutrits, g.subspace, repr(g.angle)), g)
+                for g in edge_circuit(problem.k, 0, 1, gamma).gates]
     gates: list[Gate] = []
     for v, w in problem.edges:
         wires = [m * v + l for l in range(m)] + [m * w + l for l in range(m)]
         gates.extend(_remap(template, wires))
-    return Circuit(problem.num_qutrits, tuple(gates))
+    return gates
+
+
+def _mixer_gates(num_qutrits: int, beta: float) -> list[Gate]:
+    return [rot_x(q, sub, beta) for q in range(num_qutrits) for sub in ("01", "02", "12")]
+
+
+def cost_layer(problem: ColoringProblem, gamma: float) -> Circuit:
+    """exp(-i gamma/2 H_C): edge circuits concatenated in sorted edge order."""
+    return _unchecked_circuit(problem.num_qutrits, tuple(_cost_gates(problem, gamma)))
 
 
 def mixer_layer(num_qutrits: int, beta: float) -> Circuit:
     """Per-qutrit mixing: RotX in subspaces 01, 02, 12 (in that order)."""
-    gates = []
-    for q in range(num_qutrits):
-        for sub in ("01", "02", "12"):
-            gates.append(rot_x(q, sub, beta))
-    return Circuit(num_qutrits, tuple(gates))
+    return Circuit(num_qutrits, tuple(_mixer_gates(num_qutrits, beta)))
 
 
 def initial_layer(num_qutrits: int) -> Circuit:
@@ -216,11 +223,11 @@ def build_qaoa_circuit(
     problem: ColoringProblem, spec: QaoaLayerSpec
 ) -> Circuit:
     n = problem.num_qutrits
-    gates = list(initial_layer(n).gates)
+    gates = [hadamard(q) for q in range(n)]
     for gamma, beta in zip(spec.gammas, spec.betas):
-        gates.extend(cost_layer(problem, gamma).gates)
-        gates.extend(mixer_layer(n, beta).gates)
-    return Circuit(n, tuple(gates))
+        gates.extend(_cost_gates(problem, gamma))
+        gates.extend(_mixer_gates(n, beta))
+    return _unchecked_circuit(n, tuple(gates))
 
 
 def basis_cost_values(problem: ColoringProblem) -> np.ndarray:

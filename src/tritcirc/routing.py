@@ -45,7 +45,8 @@ from .errors import (
     UnsupportedGate,
 )
 from .gates import (
-    Circuit, Gate, _json_int, _json_object, cx, cx_dag, inverse_circuit, sigma_x,
+    Circuit, Gate, _json_int, _json_object, _unchecked_circuit, cx, cx_dag, inverse_circuit,
+    sigma_x,
 )
 
 
@@ -524,7 +525,9 @@ def steiner_gauss_synthesize(
         raise IndexOutOfRange(
             f"map size {pmap.n} does not match topology size {topology.n}"
         )
-    return SynthesisResult(Circuit(pmap.n, tuple(_Eliminator(pmap.matrix, topology).run())))
+    # every gate is valid and lies on a topology edge, inside the register
+    gates = tuple(_Eliminator(pmap.matrix, topology).run())
+    return SynthesisResult(_unchecked_circuit(pmap.n, gates))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +187,51 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+# main() on each argv in turn in one process, printing [exit code, stdout] pairs
+MAIN_SEQUENCE = """
+import contextlib, io, json, sys
+from tritcirc.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_one_parser_serves_a_sequence_of_calls(tmp_path):
+    """The parser is built once per process: each call in a sequence must
+    exit and print as it does in a fresh process.  The usage error parses
+    --weyl-c-im before it fails, and the Weyl call after it relies on the
+    option's default."""
+    pfile, tfile = tmp_path / "P.json", tmp_path / "grid.json"
+    dump_json(parity_map_to_dict(random_invertible_parity_map(9, np.random.default_rng(7))),
+              str(pfile))
+    dump_json(topology_to_dict(grid_topology_3x3()), str(tfile))
+    calls = [
+        ["decompose", "--gellmann", "3,8,3", "--theta", "0.4"],
+        ["decompose", "--weyl-s", "2,1", "--weyl-c-im", "0.5", "--no-such-option"],
+        ["decompose", "--weyl-s", "2,1", "--weyl-c-re", "0.3", "--theta", "0.9"],
+        ["route", "--parity", str(pfile), "--topology", str(tfile)],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def run(*args):
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env=env, timeout=120)
+
+    sequence = run("-c", MAIN_SEQUENCE, json.dumps(calls))
+    assert sequence.returncode == 0, sequence.stderr
+    fresh = [run("-m", "tritcirc.cli", *argv) for argv in calls]
+    assert [code for code, _ in json.loads(sequence.stdout)] == [0, 2, 0, 0]
+    assert json.loads(sequence.stdout) == [[p.returncode, p.stdout] for p in fresh]
 
 
 MALFORMED_GENERATORS = {

@@ -2,12 +2,15 @@ import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tritcirc.decompose import GateCounts, count_gates
 from tritcirc.errors import InvalidCircuit, InvalidGate
 from tritcirc.gates import (
+    DIAGONAL_KINDS,
     ROTATION_KINDS,
     SINGLE_QUTRIT_KINDS,
     SUBSPACES,
@@ -42,6 +45,53 @@ def test_rotation_requires_finite_angle_and_subspace():
         Gate("RotZ", (0,), subspace="13", angle=0.1)
     with pytest.raises(InvalidGate):
         Gate("X", (0,), subspace="01")
+
+
+NOT_INTEGER_QUTRITS = {
+    "bool": ("CX", (True, 0)),
+    "bool-target": ("CX", (2, False)),
+    "fraction": ("CX", (1.5, 0)),
+    "integral-float": ("CX", (1.0, 0)),
+    "string": ("CX", ("0", 1)),
+    "none": ("X", (None,)),
+    "not-a-sequence": ("X", 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_INTEGER_QUTRITS))
+def test_gate_rejects_qutrits_that_are_not_integers(name):
+    kind, qutrits = NOT_INTEGER_QUTRITS[name]
+    with pytest.raises(InvalidGate):
+        Gate(kind, qutrits)
+
+
+NORMALIZED_GATES = {  # name: (gate, its qutrits, its angle)
+    "numpy-qutrits": (lambda: Gate("CX", (np.int64(2), np.int8(0))), (2, 0), None),
+    "list-qutrits": (lambda: Gate("CX", [0, 1]), (0, 1), None),
+    "int-angle": (lambda: Gate("RotZ", (0,), "01", 1), (0,), 1.0),
+    "numpy-angle": (lambda: Gate("RotX", (np.uint16(1),), "12", np.float32(0.5)), (1,), 0.5),
+    "bool-angle": (lambda: Gate("RotZ", (0,), "02", True), (0,), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORMALIZED_GATES))
+def test_gate_stores_int_qutrits_and_a_float_angle(name):
+    make, qutrits, angle = NORMALIZED_GATES[name]
+    g = make()
+    assert g.qutrits == qutrits and type(g.qutrits) is tuple
+    assert all(type(q) is int for q in g.qutrits)
+    assert g.angle == angle and type(g.angle) is type(angle)
+    c = Circuit(3, (g,))
+    assert _written(lambda path: dump_gate_records(
+        path, "gates", c.gates, gate_to_dict, n=3
+    )) == _written(lambda path: dump_json(circuit_to_dict(c), path))
+
+
+@pytest.mark.parametrize("angle", ["0.5", b"0.5", None, 10**400, float("inf")],
+                         ids=["string", "bytes", "none", "huge-int", "inf"])
+def test_rotation_rejects_an_angle_that_is_not_a_finite_real(angle):
+    with pytest.raises(InvalidGate):
+        Gate("RotZ", (0,), "01", angle)
 
 
 def test_circuit_rejects_out_of_register_gates():
@@ -156,3 +206,44 @@ def test_inverse_circuit_inverts_gate_by_gate_with_angle_signs(c):
     got = inverse_circuit(c).gates
     assert got == tuple(expected)
     assert [repr(g.angle) for g in got] == [repr(g.angle) for g in expected]
+
+
+@given(circuits())
+def test_gate_records_writer_keys_on_gate_objects(c):
+    """Fresh copies of the gates, each dropped once written: a memo that did
+    not hold its gates could see a freed gate's id reused by the next copy."""
+    fresh = (Gate(g.kind, g.qutrits, g.subspace, g.angle) for g in c.gates)
+    assert _written(lambda path: dump_gate_records(
+        path, "gates", fresh, gate_to_dict, n=c.num_qutrits
+    )) == _written(lambda path: dump_json(circuit_to_dict(c), path))
+
+
+def _three_pass_count_gates(circuit: Circuit) -> GateCounts:
+    """The reference: the counts in three passes, then the depth schedule."""
+    cx_count = sum(1 for g in circuit.gates if g.is_cx_kind)
+    rotation_count = sum(1 for g in circuit.gates if g.kind in ROTATION_KINDS)
+    single_count = sum(1 for g in circuit.gates if g.kind in SINGLE_QUTRIT_KINDS)
+    avail = [0] * circuit.num_qutrits
+    fusing: dict[int, int] = {}  # wire -> layer of its open diagonal run
+    depth = 0
+    for g in circuit.gates:
+        if g.kind in DIAGONAL_KINDS and len(g.qutrits) == 1:
+            (q,) = g.qutrits
+            if q in fusing:
+                layer = fusing[q]
+            else:
+                layer = avail[q]
+                fusing[q] = layer
+                avail[q] = layer + 1
+        else:
+            layer = max(avail[q] for q in g.qutrits)
+            for q in g.qutrits:
+                avail[q] = layer + 1
+                fusing.pop(q, None)
+        depth = max(depth, layer + 1)
+    return GateCounts(cx_count, rotation_count, single_count, depth)
+
+
+@given(circuits())
+def test_count_gates_matches_the_three_pass_reference(c):
+    assert count_gates(c) == _three_pass_count_gates(c)
